@@ -8,13 +8,21 @@ to. Such functions expand over the integer kernel rows C(., d):
     coefficient:  R(d) = phi(d)^{-1} * sum_{n=1..r} f(n) C(n, d)
     inversion:    f(n) = r^{-1} * sum_{d | r} R(d) C(n, d)
 
-Three routes compute the coefficients. `rft` groups the defining r-term
-sum by gcd(n, r) = e, collapsing it to tau(r) terms weighted by
-phi(r/e). `rft_divisor_form` uses the equivalent division-free sum
-R(d) = sum_{e | r} f(r/e) C(r/d, e), which is tau(r)^2 integer
-multiply-adds with storage proportional to tau(r); it is the fast path
-for large r. `rft_naive` keeps the r-term sum as a slow reference. On
-int/Fraction input all three are exact and identical.
+C(n, d) depends on n only through gcd(n, d) and is multiplicative in d,
+so for r = prod p^a the tau x tau divisor kernel is a Kronecker product
+of (a+1) x (a+1) blocks with entries C(p^j, p^k), one block per prime
+power. `rft_divisor_form`, `irft` and `cauchy_product_even` apply those
+blocks one prime at a time (Yates' algorithm). The blocks are banded, so
+each pass is one prefix sum: at most tau(r) * sum(a_i + 1) multiply-adds
+in all, no kernel table and nothing of size r. Exact input is scaled once to
+integers over the lcm of its denominators, and every route divides once
+at the end, giving an int wherever the denominator is 1.
+
+`rft` is a second, independent route: it groups the defining r-term sum
+by gcd(n, r) = e into tau(r)^2 table lookups weighted by phi(r/e), and
+the tests compare it with the Kronecker route. `rft_naive` keeps the
+r-term sum as a slow reference. On int/Fraction input all three are
+exact and identical.
 
 The verify_* functions check the classical identities behind all of
 this instance by instance and return structured reports rather than
@@ -26,12 +34,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Callable
 
-from .arith import divisors, euler_phi
+from .arith import divisors, euler_phi, factorize
 from .errors import CapacityError, DomainError, NotEvenError
-from .periodic import ResidueFunction, Scalar, dft, even_witness
+from .periodic import (
+    _EXACT_TYPES,
+    ResidueFunction,
+    Scalar,
+    _conj,
+    _same_modulus,
+    dft,
+    even_witness,
+)
 from .ramanujan import RamanujanTable, ramanujan_sum
 
 __all__ = [
@@ -55,26 +71,89 @@ __all__ = [
     "verify_cauchy_kernel_even",
 ]
 
-_EXACT_TYPES = (int, Fraction)
-
 # The brute-force kernel verifier is O(tau(r)^2 * r^2); keep it desk-sized.
 CAUCHY_KERNEL_CAP = 60
 
+# Per-modulus caches hold O(tau(r)) data each; the bound keeps a
+# long-lived process from keeping every modulus it has ever seen.
+_CACHE_SIZE = 64
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def _table(r: int) -> RamanujanTable:
     return RamanujanTable(r)
 
 
-def _canonical(v: Scalar) -> Scalar:
-    """Collapse a Fraction with denominator 1 to a plain int."""
-    if isinstance(v, Fraction) and v.denominator == 1:
-        return int(v)
-    return v
+@lru_cache(maxsize=_CACHE_SIZE)
+def _layout(r: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """The prime powers of r, and its divisors in mixed-radix order.
+
+    Position sum_i k_i * stride_i holds prod_i p_i^k_i, with the first
+    prime's exponent the most significant digit. The reversed order holds
+    r/e where the forward order holds e.
+    """
+    factors = factorize(r).factors
+    order = [1]
+    for p, a in reversed(factors):
+        order = [p**k * e for k in range(a + 1) for e in order]
+    return factors, tuple(order)
 
 
-def _conj(v: Scalar) -> Scalar:
-    return v.conjugate() if isinstance(v, complex) else v
+def _kronecker(factors: tuple[tuple[int, int], ...], x: list) -> list:
+    """y(e) = sum_{d | r} C(e, d) x(d), on vectors in mixed-radix order.
+
+    One pass per prime power p^a, on the axis that is currently most
+    significant. Its (a+1) x (a+1) block has entries C(p^j, p^k): 1 at
+    k = 0, p^k - p^(k-1) for 0 < k <= j, -p^j at k = j + 1 and 0 beyond,
+    so output digit j is the prefix sum S_j of the scaled input slabs
+    minus p^j times slab j + 1. Each pass writes its axis back as the
+    least significant digit, so after the last pass the order is the
+    original one again.
+    """
+    tau = len(x)
+    for p, a in factors:
+        m = a + 1
+        s = tau // m
+        y = [0] * tau
+        prefix = x[:s]
+        low = 1
+        for j in range(a):
+            high = low * p
+            slab = x[(j + 1) * s:(j + 2) * s]
+            y[j::m] = [u - low * v for u, v in zip(prefix, slab)]
+            step = high - low
+            prefix = [u + step * v for u, v in zip(prefix, slab)]
+            low = high
+        y[a::m] = prefix
+        x = y
+    return x
+
+
+def _scaled(values: list) -> tuple[list, int]:
+    """Exact values as integers over their common denominator L.
+
+    Returns (numerators, L). Floating input is made one type (complex if
+    any value is complex, else float) and comes back with L = 1.
+    """
+    if all(isinstance(v, _EXACT_TYPES) for v in values):
+        den = lcm(*(v.denominator for v in values))
+        return [v.numerator * (den // v.denominator) for v in values], den
+    kind = complex if any(isinstance(v, complex) for v in values) else float
+    return [kind(v) for v in values], 1
+
+
+def _normalise(num: Scalar, den: int) -> Scalar:
+    """num / den: the one division at the end of every transform route.
+
+    Exact numerators give an exact quotient, as a plain int whenever den
+    divides num; floating numerators are divided in floating point.
+    """
+    if isinstance(num, int):
+        q, rem = divmod(num, den)
+        return Fraction(num, den) if rem else q
+    if isinstance(num, Fraction):
+        return _normalise(num.numerator, num.denominator * den)
+    return num / den
 
 
 def _checked_divisor_map(r: int, mapping: dict, what: str) -> dict:
@@ -137,11 +216,6 @@ class EvenSpectrum:
         return all(isinstance(v, _EXACT_TYPES) for v in self.coeffs.values())
 
 
-def _same_modulus(f, g):
-    if f.r != g.r:
-        raise DomainError(f"modulus mismatch: {f.r} != {g.r}")
-
-
 def ramanujan_basis(d: int, r: int) -> EvenFunction:
     """The kernel row C(., d) as an even function mod r; d must divide r."""
     if r < 1:
@@ -173,29 +247,23 @@ def to_periodic(e: EvenFunction) -> ResidueFunction:
     return ResidueFunction(r, tuple(e.values[gcd(n, r)] for n in range(1, r + 1)))
 
 
-def _divide(total: Scalar, k: int, exact: bool) -> Scalar:
-    if exact:
-        return _canonical(Fraction(total) / k)
-    return total * (1.0 / k)
-
-
 def rft(f: EvenFunction) -> EvenSpectrum:
     """Transform coefficients R(d) = phi(d)^{-1} sum_n f(n) C(n, d).
 
     The r-term sum collapses to the divisors of r: the phi(r/e) residues
-    n with gcd(n, r) = e all contribute f(e) C(e, d). Exact input gives
-    exact output (the phi(d) division always comes out even); floating
-    input rounds once per coefficient.
+    n with gcd(n, r) = e all contribute f(e) C(e, d), giving tau(r)^2
+    table lookups. Exact input gives exact output (the phi(d) division
+    always comes out even); floating input rounds once per coefficient.
     """
     r = f.r
     table = _table(r)
     divs = divisors(r)
     weights = [euler_phi(r // e) for e in divs]
-    exact = f.is_exact
+    nums, den = _scaled([f.values[e] for e in divs])
     coeffs = {}
     for d in divs:
-        total = sum(f.values[e] * w * table.value(e, d) for e, w in zip(divs, weights))
-        coeffs[d] = _divide(total, euler_phi(d), exact)
+        total = sum(x * w * table.value(e, d) for x, e, w in zip(nums, divs, weights))
+        coeffs[d] = _normalise(total, den * euler_phi(d))
     return EvenSpectrum(r, coeffs)
 
 
@@ -207,44 +275,41 @@ def rft_naive(f: EvenFunction) -> EvenSpectrum:
     """
     r = f.r
     table = _table(r)
-    exact = f.is_exact
     coeffs = {}
     for d in divisors(r):
         total = sum(f(n) * table.value(n, d) for n in range(1, r + 1))
-        coeffs[d] = _divide(total, euler_phi(d), exact)
+        coeffs[d] = _normalise(total, euler_phi(d))
     return EvenSpectrum(r, coeffs)
 
 
 def rft_divisor_form(f: EvenFunction) -> EvenSpectrum:
     """Division-free transform: R(d) = sum_{e | r} f(r/e) C(r/d, e).
 
-    tau(r)^2 multiply-adds against integer kernel values and nothing of
-    size r, so it stays fast when r is large but tau(r) is small.
-    Integer input gives integer coefficients.
+    Applies the kernel one prime power at a time: at most
+    tau(r) * sum(a_i + 1) multiply-adds for r = prod p_i^a_i, storage
+    proportional to tau(r) and nothing of size r. Integer input gives
+    integer coefficients; Fraction input runs on integers and divides
+    once.
     """
     r = f.r
-    table = _table(r)
-    divs = divisors(r)
-    coeffs = {}
-    for d in divs:
-        rd = r // d
-        coeffs[d] = _canonical(
-            sum(f.values[r // e] * table.value(rd, e) for e in divs)
-        )
-    return EvenSpectrum(r, coeffs)
+    factors, order = _layout(r)
+    flipped = order[::-1]
+    nums, den = _scaled([f.values[d] for d in flipped])
+    totals = _kronecker(factors, nums)
+    return EvenSpectrum(r, {d: _normalise(t, den) for d, t in zip(flipped, totals)})
 
 
 def irft(spectrum: EvenSpectrum) -> EvenFunction:
-    """Inverse transform: f(e) = r^{-1} sum_{d | r} R(d) C(e, d)."""
+    """Inverse transform: f(e) = r^{-1} sum_{d | r} R(d) C(e, d).
+
+    The same per-prime kernel passes as `rft_divisor_form`, then one
+    division by r (times the common denominator of exact input).
+    """
     r = spectrum.r
-    table = _table(r)
-    divs = divisors(r)
-    exact = spectrum.is_exact
-    values = {}
-    for e in divs:
-        total = sum(spectrum.coeffs[d] * table.value(e, d) for d in divs)
-        values[e] = _canonical(Fraction(total) / r) if exact else total / r
-    return EvenFunction(r, values)
+    factors, order = _layout(r)
+    nums, den = _scaled([spectrum.coeffs[d] for d in order])
+    totals = _kronecker(factors, nums)
+    return EvenFunction(r, {e: _normalise(t, den * r) for e, t in zip(order, totals)})
 
 
 def inner_product_even(f: EvenFunction, g: EvenFunction) -> Scalar:
@@ -263,15 +328,24 @@ def inner_product_even(f: EvenFunction, g: EvenFunction) -> Scalar:
 def cauchy_product_even(f: EvenFunction, g: EvenFunction) -> EvenFunction:
     """Cauchy product of two even functions, computed spectrally.
 
-    Coefficients multiply pointwise, so the product costs tau(r)^2 work
-    and stays exact on exact input. Agrees with the naive double sum on
-    the expansions.
+    Two forward kernel passes, a pointwise product of the coefficients
+    and one inverse pass, so the product costs three transforms and no
+    tau(r)^2 work. Exact input runs on integers and is divided once, by
+    r times both common denominators. Agrees with the naive double sum
+    on the expansions.
     """
     _same_modulus(f, g)
-    rf = rft_divisor_form(f)
-    rg = rft_divisor_form(g)
-    product = EvenSpectrum(f.r, {d: rf.coeffs[d] * rg.coeffs[d] for d in rf.coeffs})
-    return irft(product)
+    r = f.r
+    factors, order = _layout(r)
+    flipped = order[::-1]
+    nf, lf = _scaled([f.values[d] for d in flipped])
+    ng, lg = _scaled([g.values[d] for d in flipped])
+    # Forward totals sit at the positions of r/d; reversing them lines the
+    # product up with `order` for the inverse pass.
+    product = [a * b for a, b in zip(_kronecker(factors, nf), _kronecker(factors, ng))]
+    totals = _kronecker(factors, product[::-1])
+    den = lf * lg * r
+    return EvenFunction(r, {e: _normalise(t, den) for e, t in zip(order, totals)})
 
 
 @dataclass(frozen=True)

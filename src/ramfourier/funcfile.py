@@ -17,13 +17,16 @@ where even values are {"divisor": d, "value": v} objects and each value
 is a number or a scalar string.
 
 Writers emit canonical scalars: fractions reduced with positive
-denominator, integers without "/1", floats with 12 significant digits,
-complex as "<re>+<im>j". Output parses back to equal data, so files can
-be piped through repeated invocations.
+denominator, integers without "/1", floats as their shortest round-trip
+text, complex as "<re>+<im>j" with each part likewise. Output parses
+back to equal data, so files can be piped through repeated invocations.
+Non-finite values (nan, inf, or a literal such as 1e400 that overflows)
+are rejected on input.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import re
 from fractions import Fraction
@@ -55,10 +58,17 @@ def format_scalar(v: Scalar) -> str:
             return str(v.numerator)
         return f"{v.numerator}/{v.denominator}"
     if isinstance(v, float):
-        return f"{v:.12g}"
+        return repr(v)
     if isinstance(v, complex):
-        return f"{v.real:.12g}{v.imag:+.12g}j"
+        imag = _complex_part(v.imag)
+        return f"{_complex_part(v.real)}{'' if imag[0] == '-' else '+'}{imag}j"
     raise TypeError(f"unsupported scalar type {type(v).__name__}")
+
+
+def _complex_part(x: float) -> str:
+    # Shortest round-trip text without a trailing ".0", as repr(complex) does.
+    text = repr(x)
+    return text[:-2] if text.endswith(".0") else text
 
 
 def parse_scalar(token: str) -> Scalar:
@@ -75,13 +85,17 @@ def parse_scalar(token: str) -> Scalar:
             raise FormatError(f"bad fraction {token!r}: {exc}") from None
     if "j" in token or "J" in token:
         try:
-            return complex(token)
+            value = complex(token)
         except ValueError:
             raise FormatError(f"bad complex value {token!r}") from None
-    try:
-        return float(token)
-    except ValueError:
-        raise FormatError(f"bad value {token!r}") from None
+    else:
+        try:
+            value = float(token)
+        except ValueError:
+            raise FormatError(f"bad value {token!r}") from None
+    if not cmath.isfinite(value):
+        raise FormatError(f"non-finite value {token!r}")
+    return value
 
 
 def _parse_header(fields: list[str], lineno: int) -> tuple[int, str]:
@@ -156,7 +170,12 @@ def parse_function_text(text: str) -> ResidueFunction | EvenFunction:
 def _json_scalar(v, where: str) -> Scalar:
     if isinstance(v, bool):
         raise FormatError(f"field {where}: booleans are not scalars")
-    if isinstance(v, (int, float)):
+    if isinstance(v, int):
+        return v
+    if isinstance(v, float):
+        # json.loads yields nan and inf for NaN, Infinity and 1e400.
+        if not cmath.isfinite(v):
+            raise FormatError(f"field {where}: non-finite value {v!r}")
         return v
     if isinstance(v, str):
         try:

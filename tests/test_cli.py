@@ -119,6 +119,14 @@ class TestTransform:
         code, _, err = run(["transform", "--kind", "rft", bad], capsys)
         assert code == 2 and "line 3" in err
 
+    def test_non_finite_values(self, capsys, tmp_path):
+        for value in ("nan", "1e400"):
+            bad = tmp_path / "nonfinite.txt"
+            bad.write_text(f"2 periodic\n1\n{value}\n")
+            code, out, err = run(["transform", "--kind", "dft", bad], capsys)
+            assert code == 2 and out == ""
+            assert "line 3" in err and "non-finite" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(["transform", "--kind", "rft", tmp_path / "nope.txt"], capsys)
         assert code == 2 and "error" in err

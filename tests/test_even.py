@@ -1,14 +1,17 @@
 """Tests for divisor-indexed even functions and their transform."""
 
 import random
+import tracemalloc
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ramfourier.even as even_mod
 from ramfourier import (
+    FACTORIZE_CAP,
     CAUCHY_KERNEL_CAP,
     CapacityError,
     DomainError,
@@ -175,6 +178,102 @@ class TestIrft:
         assert rft_divisor_form(f) == rft(f)
 
 
+ORACLE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 97)
+# The tau^2 oracle below stays quick up to this many divisors.
+ORACLE_TAU_CAP = 96
+
+
+@st.composite
+def factored_moduli(draw):
+    """r with up to 6 distinct primes, exponents up to 6, tau(r) <= ORACLE_TAU_CAP."""
+    primes = draw(st.lists(st.sampled_from(ORACLE_PRIMES), unique=True, max_size=6))
+    exponents = [draw(st.integers(min_value=1, max_value=6)) for _ in primes]
+    while (
+        prod(e + 1 for e in exponents) > ORACLE_TAU_CAP
+        or prod(p**e for p, e in zip(primes, exponents)) > FACTORIZE_CAP
+    ):
+        exponents[exponents.index(max(exponents))] -= 1
+    return prod(p**e for p, e in zip(primes, exponents))
+
+
+def canonical(v):
+    return v.numerator if isinstance(v, Fraction) and v.denominator == 1 else v
+
+
+def oracle_forward(r, values):
+    """R(d) = sum_{e | r} f(r/e) C(r/d, e), one Ramanujan sum per term."""
+    divs = divisors(r)
+    return {
+        d: sum(values[r // e] * ramanujan_sum(r // d, e) for e in divs) for d in divs
+    }
+
+
+def oracle_inverse(r, coeffs):
+    """f(e) = r^{-1} sum_{d | r} R(d) C(e, d), one Ramanujan sum per term."""
+    divs = divisors(r)
+    return {e: sum(coeffs[d] * ramanujan_sum(e, d) for d in divs) for e in divs}
+
+
+SCALARS = {
+    "int": st.integers(min_value=-99, max_value=99),
+    "fraction": rationals,
+    "complex": st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
+}
+
+
+class TestKroneckerCore:
+    @pytest.mark.parametrize("kind", sorted(SCALARS))
+    @settings(deadline=None, max_examples=25)
+    @given(r=factored_moduli(), data=st.data())
+    def test_matches_tau_squared_oracle(self, kind, r, data):
+        divs = divisors(r)
+        values = {d: data.draw(SCALARS[kind]) for d in divs}
+        forward = rft_divisor_form(EvenFunction(r, values)).coeffs
+        inverse = irft(EvenSpectrum(r, values)).values
+        want_forward = oracle_forward(r, values)
+        want_inverse = oracle_inverse(r, values)
+        if kind == "complex":
+            scale = 1e-12 * r * len(divs) * (1 + max(abs(v) for v in values.values()))
+            for d in divs:
+                assert abs(forward[d] - want_forward[d]) <= scale
+                assert abs(inverse[d] - want_inverse[d] / r) <= scale / r
+            return
+        for d in divs:
+            for got, want in (
+                (forward[d], canonical(Fraction(want_forward[d]))),
+                (inverse[d], canonical(Fraction(want_inverse[d], r))),
+            ):
+                assert got == want
+                assert type(got) is type(want)
+
+    def test_roundtrip_at_tau_1920_stays_tau_sized(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("length-r or tau^2 path invoked")
+
+        monkeypatch.setattr(even_mod, "rft_naive", forbidden)
+        monkeypatch.setattr(even_mod, "to_periodic", forbidden)
+        monkeypatch.setattr(even_mod, "_table", forbidden)
+
+        r = 720720 * 17 * 19 * 23
+        rng = random.Random(1920)
+        f = EvenFunction(r, {d: rng.randint(-99, 99) for d in divisors(r)})
+        assert len(f.values) == 1920
+
+        tracemalloc.start()
+        back = irft(rft_divisor_form(f))
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+
+        assert back == f
+        assert all(type(v) is int for v in back.values.values())
+        # A tau x tau kernel table alone would hold 3.7 million entries.
+        assert peak < 4_000_000
+
+    def test_caches_are_bounded(self):
+        for cache in (even_mod._table, even_mod._layout):
+            assert cache.cache_info().maxsize is not None
+
+
 class TestInnerProductEven:
     def test_constant_gives_modulus(self):
         for r in (1, 6, 20):
@@ -254,6 +353,18 @@ class TestCauchyProductEven:
             via_even = cauchy_product_even(f, g)
             via_naive = from_periodic(cauchy_product(to_periodic(f), to_periodic(g)))
             assert via_even == via_naive
+
+    def test_mixed_exact_and_floating_input(self):
+        rng = random.Random(22)
+        for r in (1, 12, 40):
+            f = random_even(r, rng)
+            g = EvenFunction(r, {d: rng.uniform(-1, 1) for d in divisors(r)})
+            via_even = cauchy_product_even(f, g)
+            via_naive = cauchy_product(to_periodic(f), to_periodic(g))
+            assert all(isinstance(v, float) for v in via_even.values.values())
+            assert all(
+                abs(via_even(n) - via_naive(n)) <= 1e-9 for n in range(1, r + 1)
+            )
 
     def test_modulus_mismatch(self):
         with pytest.raises(DomainError):

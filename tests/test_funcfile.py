@@ -4,6 +4,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ramfourier import (
     EvenFunction,
@@ -48,9 +50,37 @@ class TestScalars:
         for v in (0, -3, Fraction(22, 7), Fraction(-1, 9), 0.125, -2.5e-4, 1 + 1j, -0.5 - 0.25j):
             assert parse_scalar(format_scalar(v)) == v
 
+    @given(
+        st.one_of(
+            st.integers(),
+            st.fractions(),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.complex_numbers(allow_nan=False, allow_infinity=False),
+        )
+    )
+    def test_print_parse_roundtrip_property(self, v):
+        back = parse_scalar(format_scalar(v))
+        assert back == v
+        if isinstance(v, Fraction) and v.denominator == 1:
+            assert type(back) is int
+        else:
+            assert type(back) is type(v)
+
+    def test_floats_print_their_shortest_roundtrip_text(self):
+        assert format_scalar(0.1 + 0.2) == "0.30000000000000004"
+        assert parse_scalar(format_scalar(0.1 + 0.2)) == 0.1 + 0.2
+        assert format_scalar(3.0) == "3.0"
+        assert format_scalar(complex(0.1 + 0.2, -1e-20)) == "0.30000000000000004-1e-20j"
+
     def test_bad_tokens(self):
         for token in ("", "3/4.5", "1/0", "abc", "1+j2"):
             with pytest.raises(FormatError):
+                parse_scalar(token)
+
+    def test_non_finite_tokens(self):
+        for token in ("nan", "NaN", "inf", "-inf", "Infinity", "1e400", "-1e400",
+                      "nan+1j", "1+infj", "1e400+1j", "1-1e400j"):
+            with pytest.raises(FormatError, match="non-finite"):
                 parse_scalar(token)
 
 
@@ -108,6 +138,14 @@ class TestJsonParsing:
             parse_function_json('{"modulus": 2, "values": []}')
         with pytest.raises(FormatError, match="invalid JSON"):
             parse_function_json("{")
+
+    def test_non_finite_numbers(self):
+        for number in ("NaN", "Infinity", "-Infinity", "1e400"):
+            with pytest.raises(FormatError, match=r"values\[1\]: non-finite"):
+                parse_function_json(
+                    '{"modulus": 2, "representation": "periodic", "values": [1, %s]}'
+                    % number
+                )
 
 
 class TestFormatClosure:
