@@ -61,8 +61,6 @@ from .periodic import (
 )
 from .ramanujan import (
     ORACLE_CAP,
-    RamanujanTable,
-    ramanujan_row,
     ramanujan_sum,
     ramanujan_sum_oracle,
 )
@@ -76,7 +74,6 @@ __all__ = [
     "CAUCHY_KERNEL_CAP",
     "Factorization",
     "DivisorList",
-    "RamanujanTable",
     "ResidueFunction",
     "PeriodicSpectrum",
     "EvenFunction",
@@ -96,7 +93,6 @@ __all__ = [
     "euler_phi",
     "ramanujan_sum",
     "ramanujan_sum_oracle",
-    "ramanujan_row",
     "ramanujan_basis",
     "dft",
     "idft",

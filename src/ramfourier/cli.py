@@ -46,7 +46,7 @@ from .periodic import (
     dft,
     idft,
 )
-from .ramanujan import RamanujanTable, ramanujan_sum
+from .ramanujan import ramanujan_sum
 
 _SUITES = ("orthogonality", "symmetry", "bridge", "cauchy-kernel")
 BRIDGE_TOL = 1e-8
@@ -78,9 +78,8 @@ def cmd_csum(args) -> int:
         if len(args.values) != 1:
             raise DomainError("csum --table takes exactly one argument: r")
         r = args.values[0]
-        table = RamanujanTable(r)
-        divs = list(table.divisors)
-        rows = [[table.value(r // e, d) for d in divs] for e in divs]
+        divs = list(divisors(r))
+        rows = [[ramanujan_sum(r // e, d) for d in divs] for e in divs]
         if args.format == "json":
             print(json.dumps({"r": r, "divisors": divs, "table": rows}, indent=2))
         else:
@@ -157,8 +156,10 @@ def cmd_cauchy(args) -> int:
         if not discrepancy <= tol:
             exit_code = 1
 
+    # Format before printing anything, so a FormatError leaves stdout empty.
+    text = format_function(product, args.format)
     if args.format == "json":
-        payload = json.loads(format_function(product, "json"))
+        payload = json.loads(text)
         if args.check:
             payload["max_discrepancy"] = _show(discrepancy)
             payload["max_discrepancy_at"] = worst
@@ -167,7 +168,7 @@ def cmd_cauchy(args) -> int:
     else:
         if args.check:
             print(f"# max discrepancy: {_show(discrepancy)} (at n={worst})")
-        sys.stdout.write(format_function(product, "text"))
+        sys.stdout.write(text)
     return exit_code
 
 

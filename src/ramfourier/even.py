@@ -19,10 +19,10 @@ integers over the lcm of its denominators, and every route divides once
 at the end, giving an int wherever the denominator is 1.
 
 `rft` is a second, independent route: it groups the defining r-term sum
-by gcd(n, r) = e into tau(r)^2 table lookups weighted by phi(r/e), and
-the tests compare it with the Kronecker route. `rft_naive` keeps the
-r-term sum as a slow reference. On int/Fraction input all three are
-exact and identical.
+by gcd(n, r) = e into tau(r)^2 kernel values `ramanujan_sum(e, d)`
+weighted by phi(r/e), and the tests compare it with the Kronecker
+route. `rft_naive` keeps the r-term sum as a slow reference. On
+int/Fraction input all three are exact and identical.
 
 The verify_* functions check the classical identities behind all of
 this instance by instance and return structured reports rather than
@@ -48,7 +48,7 @@ from .periodic import (
     dft,
     even_witness,
 )
-from .ramanujan import RamanujanTable, ramanujan_sum
+from .ramanujan import ramanujan_sum
 
 __all__ = [
     "CAUCHY_KERNEL_CAP",
@@ -77,11 +77,6 @@ CAUCHY_KERNEL_CAP = 60
 # Per-modulus caches hold O(tau(r)) data each; the bound keeps a
 # long-lived process from keeping every modulus it has ever seen.
 _CACHE_SIZE = 64
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _table(r: int) -> RamanujanTable:
-    return RamanujanTable(r)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -252,17 +247,16 @@ def rft(f: EvenFunction) -> EvenSpectrum:
 
     The r-term sum collapses to the divisors of r: the phi(r/e) residues
     n with gcd(n, r) = e all contribute f(e) C(e, d), giving tau(r)^2
-    table lookups. Exact input gives exact output (the phi(d) division
+    kernel values. Exact input gives exact output (the phi(d) division
     always comes out even); floating input rounds once per coefficient.
     """
     r = f.r
-    table = _table(r)
     divs = divisors(r)
     weights = [euler_phi(r // e) for e in divs]
     nums, den = _scaled([f.values[e] for e in divs])
     coeffs = {}
     for d in divs:
-        total = sum(x * w * table.value(e, d) for x, e, w in zip(nums, divs, weights))
+        total = sum(x * w * ramanujan_sum(e, d) for x, e, w in zip(nums, divs, weights))
         coeffs[d] = _normalise(total, den * euler_phi(d))
     return EvenSpectrum(r, coeffs)
 
@@ -274,10 +268,9 @@ def rft_naive(f: EvenFunction) -> EvenSpectrum:
     grouped and divisor-form paths on desk-sized r.
     """
     r = f.r
-    table = _table(r)
     coeffs = {}
     for d in divisors(r):
-        total = sum(f(n) * table.value(n, d) for n in range(1, r + 1))
+        total = sum(f(n) * ramanujan_sum(n, d) for n in range(1, r + 1))
         coeffs[d] = _normalise(total, euler_phi(d))
     return EvenSpectrum(r, coeffs)
 
@@ -388,10 +381,9 @@ def verify_orthogonality(r: int) -> VerificationReport:
 
     for every pair of divisors d1, d2 of r.
     """
-    table = _table(r)
     divs = divisors(r)
     phis = [euler_phi(e) for e in divs]
-    rows = {d: table.divisor_row(d) for d in divs}
+    rows = {d: [ramanujan_sum(r // e, d) for e in divs] for d in divs}
     checks = []
     for d1 in divs:
         for d2 in divs:
@@ -404,13 +396,12 @@ def verify_orthogonality(r: int) -> VerificationReport:
 def verify_symmetry(r: int) -> VerificationReport:
     """Exact check of phi(e) C(r/e, d) = phi(d) C(r/d, e) over all divisor
     pairs (d, e) of r."""
-    table = _table(r)
     divs = divisors(r)
     checks = []
     for d in divs:
         for e in divs:
-            left = euler_phi(e) * table.value(r // e, d)
-            right = euler_phi(d) * table.value(r // d, e)
+            left = euler_phi(e) * ramanujan_sum(r // e, d)
+            right = euler_phi(d) * ramanujan_sum(r // d, e)
             checks.append(IdentityCheck((d, e), left, right, left == right))
     return VerificationReport("symmetry", r, tuple(checks))
 
@@ -424,13 +415,12 @@ def verify_rft_dft_bridge(f: EvenFunction, tol: float = 1e-8) -> VerificationRep
     k = r/d.
     """
     r = f.r
-    table = _table(r)
     divs = divisors(r)
     spectrum = dft(to_periodic(f))
     coeffs = rft(f)
     checks = []
     for k in range(1, r + 1):
-        direct = sum(f.values[e] * table.value(k, r // e) for e in divs)
+        direct = sum(f.values[e] * ramanujan_sum(k, r // e) for e in divs)
         got = spectrum.coeffs[k - 1]
         checks.append(
             IdentityCheck(("divisor-sum", k), got, direct, abs(got - complex(direct)) <= tol)
@@ -463,9 +453,8 @@ def verify_cauchy_kernel_even(r: int) -> VerificationReport:
         raise CapacityError(
             f"kernel verification is capped at r <= {CAUCHY_KERNEL_CAP}, got {r}"
         )
-    table = _table(r)
     divs = divisors(r)
-    rows = {d: table.periodic_row(d) for d in divs}
+    rows = {d: [ramanujan_sum(n, d) for n in range(1, r + 1)] for d in divs}
     checks = []
     for d1 in divs:
         row1 = rows[d1]

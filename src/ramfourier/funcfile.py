@@ -21,7 +21,8 @@ denominator, integers without "/1", floats as their shortest round-trip
 text, complex as "<re>+<im>j" with each part likewise. Output parses
 back to equal data, so files can be piped through repeated invocations.
 Non-finite values (nan, inf, or a literal such as 1e400 that overflows)
-are rejected on input.
+are rejected on input, and on output too, so the writers never emit a
+file the readers refuse.
 """
 
 from __future__ import annotations
@@ -259,9 +260,20 @@ def format_function(obj, fmt: str = "text") -> str:
 
     Spectra print under the representation of their index set: a
     PeriodicSpectrum as a periodic file (k = 1..r), an EvenSpectrum as
-    an even file (one line per divisor).
+    an even file (one line per divisor). A non-finite float or complex
+    value raises FormatError naming its index or divisor, because the
+    readers would reject it.
     """
     r, representation, entries = _payload(obj)
+    keyed = enumerate(entries, start=1) if representation == "periodic" else entries
+    for key, v in keyed:
+        # ints and Fractions are always finite, and cmath.isfinite would
+        # overflow converting a huge one.
+        if isinstance(v, (float, complex)) and not cmath.isfinite(v):
+            where = "index" if representation == "periodic" else "divisor"
+            raise FormatError(
+                f"cannot write non-finite value {format_scalar(v)} at {where} {key}"
+            )
     if fmt == "text":
         lines = [f"{r} {representation}"]
         if representation == "periodic":

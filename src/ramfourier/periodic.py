@@ -44,7 +44,7 @@ DEFAULT_FLOAT_TOL = 1e-9
 EVENNESS_TOL = 1e-12
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _roots(r: int) -> tuple[complex, ...]:
     """exp(2*pi*i*j/r) for j = 0..r-1."""
     return tuple(cmath.exp(2j * pi * (j / r)) for j in range(r))
@@ -182,7 +182,7 @@ def even_witness(f: ResidueFunction, tol: float = EVENNESS_TOL) -> int | None:
         if exact:
             if a != b:
                 return n
-        elif abs(a - b) > tol:
+        elif not abs(a - b) <= tol:
             return n
     return None
 

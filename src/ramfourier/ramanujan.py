@@ -6,25 +6,25 @@ production path evaluates the equivalent divisor sum
 
     C(n, r) = sum of d * mu(r/d) over the divisors d of gcd(n, r)
 
-by integer additions and subtractions. The defining exponential sum is
-kept only as a test oracle, with an explicit size cap.
+by integer additions and subtractions, caching one integer per pair
+(gcd(n, r), r). Every kernel value the library reads comes from
+`ramanujan_sum`. The defining exponential sum is kept only as a test
+oracle, with an explicit size cap.
 """
 
 from __future__ import annotations
 
-import cmath
 from functools import lru_cache
-from math import gcd, pi
+from math import gcd
 
 from .arith import divisors, mobius
 from .errors import CapacityError, DomainError
+from .periodic import _roots
 
 __all__ = [
     "ORACLE_CAP",
-    "RamanujanTable",
     "ramanujan_sum",
     "ramanujan_sum_oracle",
-    "ramanujan_row",
 ]
 
 ORACLE_CAP = 10**6
@@ -48,12 +48,6 @@ def ramanujan_sum(n: int, r: int) -> int:
 
 
 @lru_cache(maxsize=2)
-def _oracle_roots(r: int) -> tuple[complex, ...]:
-    # exp(2*pi*i*j/r) for j = 0..r-1, so arguments stay in [0, 2*pi).
-    return tuple(cmath.exp(2j * pi * (j / r)) for j in range(r))
-
-
-@lru_cache(maxsize=2)
 def _coprime_residues(r: int) -> tuple[int, ...]:
     return tuple(k for k in range(1, r + 1) if gcd(k, r) == 1)
 
@@ -69,56 +63,5 @@ def ramanujan_sum_oracle(n: int, r: int) -> complex:
         raise DomainError(f"modulus must be >= 1, got {r}")
     if r > ORACLE_CAP:
         raise CapacityError(f"exponential sum is capped at r <= {ORACLE_CAP}, got {r}")
-    roots = _oracle_roots(r)
+    roots = _roots(r)
     return sum((roots[(k * n) % r] for k in _coprime_residues(r)), start=0j)
-
-
-def ramanujan_row(d: int, r: int, indexing: str = "periodic") -> list[int]:
-    """One kernel row C(., d) at modulus r, as exact integers.
-
-    indexing="periodic" gives C(n, d) for n = 1..r (length r);
-    indexing="divisor" gives C(r/e, d) for the divisors e of r in
-    increasing order (length tau(r)). d must divide r.
-    """
-    if r < 1:
-        raise DomainError(f"modulus must be >= 1, got {r}")
-    if d < 1 or r % d:
-        raise DomainError(f"{d} does not divide {r}")
-    if indexing == "periodic":
-        return [ramanujan_sum(n, d) for n in range(1, r + 1)]
-    if indexing == "divisor":
-        return [ramanujan_sum(r // e, d) for e in divisors(r)]
-    raise DomainError(f"indexing must be 'periodic' or 'divisor', got {indexing!r}")
-
-
-class RamanujanTable:
-    """All values C(., d) for the divisors d of a fixed modulus r.
-
-    Stores one integer per pair (g, d) with g | d | r, which covers every
-    value the rows can take; lookups reduce n to gcd(n, d) first. The
-    table is immutable once built and safe to share between threads, and
-    its size grows with the divisor structure of r, never with r itself.
-    """
-
-    def __init__(self, r: int):
-        if r < 1:
-            raise DomainError(f"modulus must be >= 1, got {r}")
-        self.r = r
-        self.divisors = divisors(r)
-        self._entries = {
-            (g, d): ramanujan_sum(g, d) for d in self.divisors for g in divisors(d)
-        }
-
-    def value(self, n: int, d: int) -> int:
-        """C(n, d) for any integer n and any divisor d of the modulus."""
-        if d < 1 or self.r % d:
-            raise DomainError(f"{d} does not divide {self.r}")
-        return self._entries[(gcd(n, d), d)]
-
-    def periodic_row(self, d: int) -> list[int]:
-        """C(n, d) for n = 1..r."""
-        return [self.value(n, d) for n in range(1, self.r + 1)]
-
-    def divisor_row(self, d: int) -> list[int]:
-        """C(r/e, d) for the divisors e of r in increasing order."""
-        return [self.value(self.r // e, d) for e in self.divisors]

@@ -127,6 +127,14 @@ class TestTransform:
             assert code == 2 and out == ""
             assert "line 3" in err and "non-finite" in err
 
+    def test_overflowing_output_is_refused(self, capsys, tmp_path):
+        big = tmp_path / "big.txt"
+        big.write_text("2 periodic\n1e308\n1e308\n")
+        for fmt in ("text", "json"):
+            code, out, err = run(["transform", "--kind", "dft", big, "--format", fmt], capsys)
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and "non-finite value inf+0j at index 2" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(["transform", "--kind", "rft", tmp_path / "nope.txt"], capsys)
         assert code == 2 and "error" in err
@@ -192,6 +200,14 @@ class TestCauchy:
         )
         assert code == 1
         assert out.startswith("# max discrepancy: ")
+
+    def test_overflowing_output_is_refused(self, capsys, tmp_path):
+        big = tmp_path / "big.txt"
+        big.write_text("2 periodic\n1e308\n1e308\n")
+        for extra in ([], ["--check"], ["--format", "json"]):
+            code, out, err = run(["cauchy", big, big, "--method", "spectral"] + extra, capsys)
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and "non-finite value nan+nanj" in err
 
     def test_mixed_representations_expand_to_periodic(self, capsys):
         # gcd(., 4) convolved with the constant 1: every value is sum of f.

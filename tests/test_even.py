@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ramfourier.even as even_mod
+import ramfourier.periodic as periodic_mod
 from ramfourier import (
     FACTORIZE_CAP,
     CAUCHY_KERNEL_CAP,
@@ -29,8 +30,8 @@ from ramfourier import (
     inner_product_even,
     inner_product_periodic,
     irft,
+    is_even,
     ramanujan_basis,
-    ramanujan_row,
     ramanujan_sum,
     rft,
     rft_divisor_form,
@@ -78,8 +79,15 @@ class TestConversions:
         assert from_periodic(f) == GCD4
 
     def test_from_periodic_ramanujan_row(self):
-        row = ResidueFunction(4, tuple(ramanujan_row(4, 4)))
+        row = ResidueFunction(4, to_periodic(ramanujan_basis(4, 4)).values)
         assert from_periodic(row).values == {1: 0, 2: -2, 4: 2}
+
+    def test_from_periodic_rejects_nan(self):
+        # NaN compares unequal to everything, itself included.
+        f = ResidueFunction(2, (float("nan"), 1.0))
+        assert not is_even(f)
+        with pytest.raises(NotEvenError):
+            from_periodic(f)
 
     def test_from_periodic_rejects_uneven(self):
         with pytest.raises(NotEvenError) as info:
@@ -91,7 +99,8 @@ class TestConversions:
         assert to_periodic(GCD4).values == (1, 2, 1, 4)
         assert to_periodic(EvenFunction(1, {1: 5})).values == (5,)
         spectrum_row = EvenFunction(4, {1: 0, 2: -2, 4: 2})
-        assert list(to_periodic(spectrum_row).values) == ramanujan_row(4, 4)
+        assert to_periodic(spectrum_row).values == to_periodic(ramanujan_basis(4, 4)).values
+        assert to_periodic(spectrum_row).values == (0, -2, 0, 2)
 
     def test_roundtrips(self):
         rng = random.Random(1)
@@ -252,7 +261,7 @@ class TestKroneckerCore:
 
         monkeypatch.setattr(even_mod, "rft_naive", forbidden)
         monkeypatch.setattr(even_mod, "to_periodic", forbidden)
-        monkeypatch.setattr(even_mod, "_table", forbidden)
+        monkeypatch.setattr(even_mod, "ramanujan_sum", forbidden)
 
         r = 720720 * 17 * 19 * 23
         rng = random.Random(1920)
@@ -270,7 +279,7 @@ class TestKroneckerCore:
         assert peak < 4_000_000
 
     def test_caches_are_bounded(self):
-        for cache in (even_mod._table, even_mod._layout):
+        for cache in (even_mod._layout, periodic_mod._roots):
             assert cache.cache_info().maxsize is not None
 
 

@@ -19,8 +19,9 @@ from ramfourier import (
     idft,
     inner_product_periodic,
     is_even,
-    ramanujan_row,
+    ramanujan_basis,
     ramanujan_sum,
+    to_periodic,
 )
 
 
@@ -158,7 +159,7 @@ class TestCauchyProduct:
         assert cauchy_product(f, g).values == (0, 0, 1, 0)
 
     def test_ramanujan_row_squares_to_scaled_row(self):
-        row = ResidueFunction(4, tuple(ramanujan_row(2, 4)))
+        row = ResidueFunction(4, to_periodic(ramanujan_basis(2, 4)).values)
         assert row.values == (-1, 1, -1, 1)
         assert cauchy_product(row, row).values == (-4, 4, -4, 4)
 
@@ -181,8 +182,8 @@ class TestCauchyProductSpectral:
         cases = [
             (ResidueFunction(4, (1, 0, 0, 0)), ResidueFunction(4, (0, 1, 0, 0))),
             (
-                ResidueFunction(4, tuple(ramanujan_row(2, 4))),
-                ResidueFunction(4, tuple(ramanujan_row(2, 4))),
+                ResidueFunction(4, to_periodic(ramanujan_basis(2, 4)).values),
+                ResidueFunction(4, to_periodic(ramanujan_basis(2, 4)).values),
             ),
             (ResidueFunction(3, (1, 1, 1)), ResidueFunction(3, (1, 1, 1))),
         ]

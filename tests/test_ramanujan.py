@@ -1,4 +1,4 @@
-"""Tests for Ramanujan sums: exact formula, oracle, rows and table."""
+"""Tests for Ramanujan sums: exact formula, oracle, and kernel rows."""
 
 from math import gcd
 
@@ -10,13 +10,13 @@ from ramfourier import (
     ORACLE_CAP,
     CapacityError,
     DomainError,
-    RamanujanTable,
     divisors,
     euler_phi,
     mobius,
-    ramanujan_row,
+    ramanujan_basis,
     ramanujan_sum,
     ramanujan_sum_oracle,
+    to_periodic,
 )
 
 
@@ -79,52 +79,62 @@ class TestOracle:
                 assert abs(approx.real - ramanujan_sum(n, r)) <= 1e-6
 
 
+def periodic_row(d, r):
+    return to_periodic(ramanujan_basis(d, r)).values
+
+
+def divisor_row(d, r):
+    # C(r/e, d) for the divisors e of r in increasing order.
+    basis = ramanujan_basis(d, r)
+    return [basis.values[r // e] for e in divisors(r)]
+
+
 class TestRow:
+    """Kernel rows C(., d), read from ramanujan_basis in both layouts."""
+
     def test_unit_divisor_row_is_all_ones(self):
-        assert ramanujan_row(1, 7) == [1] * 7
-        assert ramanujan_row(1, 12, indexing="divisor") == [1] * 6
+        assert periodic_row(1, 7) == (1,) * 7
+        assert divisor_row(1, 12) == [1] * 6
 
     def test_periodic_rows_mod_four(self):
-        assert ramanujan_row(2, 4) == [-1, 1, -1, 1]
-        assert ramanujan_row(4, 4) == [0, -2, 0, 2]
+        assert periodic_row(2, 4) == (-1, 1, -1, 1)
+        assert periodic_row(4, 4) == (0, -2, 0, 2)
 
     def test_divisor_row(self):
         # C(12/e, 4) for e = 1, 2, 3, 4, 6, 12.
-        assert ramanujan_row(4, 12, indexing="divisor") == [2, -2, 2, 0, -2, 0]
+        assert divisor_row(4, 12) == [2, -2, 2, 0, -2, 0]
 
     def test_lengths(self):
-        assert len(ramanujan_row(6, 12)) == 12
-        assert len(ramanujan_row(6, 12, indexing="divisor")) == len(divisors(12))
+        assert len(periodic_row(6, 12)) == 12
+        assert len(ramanujan_basis(6, 12).values) == len(divisors(12))
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
-            ramanujan_row(5, 12)
-        with pytest.raises(DomainError):
-            ramanujan_row(2, 4, indexing="diagonal")
+            ramanujan_basis(5, 12)
 
 
 class TestTable:
+    """The full kernel C(n, d) over the divisors d of r, by rows."""
+
     def test_matches_direct_evaluation(self):
-        table = RamanujanTable(24)
         for d in divisors(24):
+            row = periodic_row(d, 24)
             for n in range(1, 25):
-                assert table.value(n, d) == ramanujan_sum(n, d)
+                assert row[n - 1] == ramanujan_sum(n, d)
 
     def test_rows_match_row_builder(self):
-        table = RamanujanTable(12)
         for d in divisors(12):
-            assert table.periodic_row(d) == ramanujan_row(d, 12)
-            assert table.divisor_row(d) == ramanujan_row(d, 12, indexing="divisor")
+            assert periodic_row(d, 12) == tuple(ramanujan_sum(n, d) for n in range(1, 13))
+            assert divisor_row(d, 12) == [ramanujan_sum(12 // e, d) for e in divisors(12)]
 
     def test_value_reduces_through_gcd(self):
-        table = RamanujanTable(30)
-        assert table.value(77, 15) == ramanujan_sum(gcd(77, 15), 15)
+        assert ramanujan_basis(15, 30)(77) == ramanujan_sum(gcd(77, 15), 15)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
-            RamanujanTable(0)
+            ramanujan_basis(1, 0)
         with pytest.raises(DomainError):
-            RamanujanTable(12).value(1, 5)
+            ramanujan_basis(5, 12)
 
 
 def test_evenness_exhaustive():
