@@ -9,8 +9,6 @@ transform-bridge identities.
 
 from .arith import (
     FACTORIZE_CAP,
-    DivisorList,
-    Factorization,
     divisors,
     euler_phi,
     factorize,
@@ -72,8 +70,6 @@ __all__ = [
     "FACTORIZE_CAP",
     "ORACLE_CAP",
     "CAUCHY_KERNEL_CAP",
-    "Factorization",
-    "DivisorList",
     "ResidueFunction",
     "PeriodicSpectrum",
     "EvenFunction",

@@ -6,7 +6,6 @@ never overflow or round. The only limit is the factorization cap below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
@@ -14,8 +13,6 @@ from .errors import CapacityError, DomainError
 
 __all__ = [
     "FACTORIZE_CAP",
-    "Factorization",
-    "DivisorList",
     "factorize",
     "divisors",
     "gcd",
@@ -45,81 +42,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization of a positive integer.
-
-    `factors` lists (prime, exponent) pairs with strictly increasing
-    primes; it is empty exactly when n == 1.
-    """
-
-    n: int
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"factorization is defined for n >= 1, got {self.n}")
-        product = 1
-        previous = 1
-        for p, e in self.factors:
-            if p <= previous:
-                raise DomainError("primes must be strictly increasing")
-            if e < 1:
-                raise DomainError(f"exponent of {p} must be >= 1, got {e}")
-            if not is_prime(p):
-                raise DomainError(f"{p} is not prime")
-            product *= p**e
-            previous = p
-        if product != self.n:
-            raise DomainError(f"factors multiply to {product}, not {self.n}")
-
-    @property
-    def tau(self) -> int:
-        """Number of divisors of n."""
-        count = 1
-        for _, e in self.factors:
-            count *= e + 1
-        return count
-
-
-@dataclass(frozen=True)
-class DivisorList:
-    """All divisors of r, in increasing order."""
-
-    r: int
-    divisors: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.r < 1:
-            raise DomainError(f"divisors are defined for r >= 1, got {self.r}")
-        previous = 0
-        for d in self.divisors:
-            if d <= previous:
-                raise DomainError("divisors must be strictly increasing")
-            if self.r % d:
-                raise DomainError(f"{d} does not divide {self.r}")
-            previous = d
-        if not self.divisors or self.divisors[0] != 1 or self.divisors[-1] != self.r:
-            raise DomainError("divisor list must run from 1 to r")
-        if len(self.divisors) != factorize(self.r).tau:
-            raise DomainError("divisor list is incomplete")
-
-    def __len__(self) -> int:
-        return len(self.divisors)
-
-    def __iter__(self):
-        return iter(self.divisors)
-
-    def __getitem__(self, index):
-        return self.divisors[index]
-
-    def __contains__(self, d) -> bool:
-        return d in self.divisors
-
-
 @lru_cache(maxsize=None)
-def factorize(n: int) -> Factorization:
-    """Unique prime factorization of n by trial division."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Unique prime factorization of n by trial division.
+
+    Returns (prime, exponent) pairs: the primes strictly increase, every
+    exponent is at least 1, and prod(p**e) == n. It is empty exactly
+    when n == 1.
+    """
     if n < 1:
         raise DomainError(f"factorize is defined for n >= 1, got {n}")
     if n > FACTORIZE_CAP:
@@ -145,19 +75,23 @@ def factorize(n: int) -> Factorization:
         f += 6
     if m > 1:
         factors.append((m, 1))
-    return Factorization(n, tuple(factors))
+    return tuple(factors)
 
 
 @lru_cache(maxsize=None)
-def divisors(r: int) -> DivisorList:
-    """All divisors of r, sorted increasing; length tau(r)."""
+def divisors(r: int) -> tuple[int, ...]:
+    """All divisors of r, strictly increasing from 1 to r.
+
+    Its length is tau(r) = prod(e + 1) over the pairs (p, e) of
+    factorize(r).
+    """
     if r < 1:
         raise DomainError(f"divisors are defined for r >= 1, got {r}")
     divs = [1]
-    for p, e in factorize(r).factors:
+    for p, e in factorize(r):
         powers = [p**i for i in range(1, e + 1)]
         divs += [d * q for d in divs for q in powers]
-    return DivisorList(r, tuple(sorted(divs)))
+    return tuple(sorted(divs))
 
 
 @lru_cache(maxsize=None)
@@ -165,10 +99,10 @@ def mobius(n: int) -> int:
     """Mobius function: 0 on non-squarefree n, else (-1)^(number of primes)."""
     if n < 1:
         raise DomainError(f"mobius is defined for n >= 1, got {n}")
-    fac = factorize(n)
-    if any(e > 1 for _, e in fac.factors):
+    factors = factorize(n)
+    if any(e > 1 for _, e in factors):
         return 0
-    return -1 if len(fac.factors) % 2 else 1
+    return -1 if len(factors) % 2 else 1
 
 
 @lru_cache(maxsize=None)
@@ -177,6 +111,6 @@ def euler_phi(n: int) -> int:
     if n < 1:
         raise DomainError(f"euler_phi is defined for n >= 1, got {n}")
     result = n
-    for p, _ in factorize(n).factors:
+    for p, _ in factorize(n):
         result -= result // p
     return result

@@ -52,13 +52,6 @@ _SUITES = ("orthogonality", "symmetry", "bridge", "cauchy-kernel")
 BRIDGE_TOL = 1e-8
 
 
-def _show(v) -> str:
-    try:
-        return format_scalar(v)
-    except TypeError:
-        return str(v)
-
-
 def _format_table(divs, rows) -> str:
     cells = [["C(r/e,d)"] + [f"d={d}" for d in divs]]
     for e, row in zip(divs, rows):
@@ -78,7 +71,7 @@ def cmd_csum(args) -> int:
         if len(args.values) != 1:
             raise DomainError("csum --table takes exactly one argument: r")
         r = args.values[0]
-        divs = list(divisors(r))
+        divs = divisors(r)
         rows = [[ramanujan_sum(r // e, d) for d in divs] for e in divs]
         if args.format == "json":
             print(json.dumps({"r": r, "divisors": divs, "table": rows}, indent=2))
@@ -161,13 +154,13 @@ def cmd_cauchy(args) -> int:
     if args.format == "json":
         payload = json.loads(text)
         if args.check:
-            payload["max_discrepancy"] = _show(discrepancy)
+            payload["max_discrepancy"] = format_scalar(discrepancy)
             payload["max_discrepancy_at"] = worst
             payload["check_passed"] = exit_code == 0
         print(json.dumps(payload, indent=2))
     else:
         if args.check:
-            print(f"# max discrepancy: {_show(discrepancy)} (at n={worst})")
+            print(f"# max discrepancy: {format_scalar(discrepancy)} (at n={worst})")
         sys.stdout.write(text)
     return exit_code
 
@@ -212,8 +205,8 @@ def cmd_verify(args) -> int:
             if failure is not None:
                 item["counterexample"] = {
                     "subject": list(failure.subject),
-                    "left": _show(failure.left),
-                    "right": _show(failure.right),
+                    "left": format_scalar(failure.left),
+                    "right": format_scalar(failure.right),
                 }
             items.append(item)
         payload = {
@@ -232,7 +225,7 @@ def cmd_verify(args) -> int:
                 print(f"{suite} r={r}: FAIL")
                 print(
                     f"  counterexample {failure.subject}: "
-                    f"left={_show(failure.left)} right={_show(failure.right)}"
+                    f"left={format_scalar(failure.left)} right={format_scalar(failure.right)}"
                 )
         failures = sum(1 for _, _, report in results if not report.passed)
         if failures:

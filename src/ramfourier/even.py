@@ -44,6 +44,7 @@ from .periodic import (
     ResidueFunction,
     Scalar,
     _conj,
+    _non_finite,
     _same_modulus,
     dft,
     even_witness,
@@ -87,7 +88,7 @@ def _layout(r: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
     prime's exponent the most significant digit. The reversed order holds
     r/e where the forward order holds e.
     """
-    factors = factorize(r).factors
+    factors = factorize(r)
     order = [1]
     for p, a in reversed(factors):
         order = [p**k * e for k in range(a + 1) for e in order]
@@ -224,14 +225,19 @@ def from_periodic(f: ResidueFunction, tol: float = 1e-12) -> EvenFunction:
     """Restrict an even residue function to its divisor values.
 
     Raises NotEvenError, naming a witness residue, when f is not even.
+    A NaN or infinite value never counts as even, and the message says
+    so when the witness holds one.
     """
     witness = even_witness(f, tol)
     if witness is not None:
-        g = gcd(witness, f.r)
+        value = f.values[witness - 1]
+        if _non_finite(value):
+            reason = "is not a finite value"
+        else:
+            g = gcd(witness, f.r)
+            reason = f"differs from f(gcd({witness}, {f.r})) = f({g}) = {f.values[g - 1]!r}"
         raise NotEvenError(
-            f"not even mod {f.r}: f({witness}) = {f.values[witness - 1]!r} "
-            f"differs from f(gcd({witness}, {f.r})) = f({g}) = {f.values[g - 1]!r}",
-            witness=witness,
+            f"not even mod {f.r}: f({witness}) = {value!r} {reason}", witness=witness
         )
     return EvenFunction(f.r, {d: f.values[d - 1] for d in divisors(f.r)})
 

@@ -36,7 +36,7 @@ from pathlib import Path
 from .arith import divisors
 from .errors import FormatError
 from .even import EvenFunction, EvenSpectrum
-from .periodic import PeriodicSpectrum, ResidueFunction, Scalar
+from .periodic import PeriodicSpectrum, ResidueFunction, Scalar, _non_finite
 
 __all__ = [
     "format_scalar",
@@ -267,9 +267,7 @@ def format_function(obj, fmt: str = "text") -> str:
     r, representation, entries = _payload(obj)
     keyed = enumerate(entries, start=1) if representation == "periodic" else entries
     for key, v in keyed:
-        # ints and Fractions are always finite, and cmath.isfinite would
-        # overflow converting a huge one.
-        if isinstance(v, (float, complex)) and not cmath.isfinite(v):
+        if _non_finite(v):
             where = "index" if representation == "periodic" else "divisor"
             raise FormatError(
                 f"cannot write non-finite value {format_scalar(v)} at {where} {key}"

@@ -54,6 +54,12 @@ def _conj(v: Scalar) -> Scalar:
     return v.conjugate() if isinstance(v, complex) else v
 
 
+def _non_finite(v: Scalar) -> bool:
+    # ints and Fractions are always finite, and cmath.isfinite would
+    # overflow converting a huge one.
+    return isinstance(v, (float, complex)) and not cmath.isfinite(v)
+
+
 def _same_modulus(f, g):
     if f.r != g.r:
         raise DomainError(f"modulus mismatch: {f.r} != {g.r}")

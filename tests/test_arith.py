@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ramfourier.arith as arith_mod
 from ramfourier import (
     CapacityError,
-    DivisorList,
     DomainError,
-    Factorization,
     divisors,
     euler_phi,
     factorize,
@@ -25,16 +24,16 @@ def brute_phi(n):
 
 class TestFactorize:
     def test_one_has_empty_factorization(self):
-        assert factorize(1).factors == ()
+        assert factorize(1) == ()
 
     def test_twelve(self):
-        assert factorize(12).factors == ((2, 2), (3, 1))
+        assert factorize(12) == ((2, 2), (3, 1))
 
     def test_720720(self):
-        fac = factorize(720720)
-        assert fac.factors == ((2, 4), (3, 2), (5, 1), (7, 1), (11, 1), (13, 1))
-        assert prod(p**e for p, e in fac.factors) == 720720
-        assert all(is_prime(p) for p, _ in fac.factors)
+        factors = factorize(720720)
+        assert factors == ((2, 4), (3, 2), (5, 1), (7, 1), (11, 1), (13, 1))
+        assert prod(p**e for p, e in factors) == 720720
+        assert all(is_prime(p) for p, _ in factors)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
@@ -43,35 +42,49 @@ class TestFactorize:
             factorize(-12)
 
     def test_magnitude_cap(self):
-        assert factorize(2**50).factors == ((2, 50),)
+        assert factorize(2**50) == ((2, 50),)
         with pytest.raises(CapacityError):
             factorize(2**50 + 1)
 
-    def test_invalid_constructions_rejected(self):
-        with pytest.raises(DomainError):
-            Factorization(12, ((3, 1), (2, 2)))  # primes out of order
-        with pytest.raises(DomainError):
-            Factorization(4, ((2, 0),))  # exponent below 1
-        with pytest.raises(DomainError):
-            Factorization(8, ((8, 1),))  # listed factor not prime
-        with pytest.raises(DomainError):
-            Factorization(10, ((2, 1), (3, 1)))  # wrong product
-
     @given(st.integers(min_value=1, max_value=10**6))
     def test_product_recovers_n(self, n):
-        fac = factorize(n)
-        assert prod(p**e for p, e in fac.factors) == n
-        primes = [p for p, _ in fac.factors]
+        factors = factorize(n)
+        assert prod(p**e for p, e in factors) == n
+        primes = [p for p, _ in factors]
         assert primes == sorted(set(primes))
-        assert all(e >= 1 for _, e in fac.factors)
+        assert all(is_prime(p) for p in primes)
+        assert all(e >= 1 for _, e in factors)
+
+    def test_answer_is_not_rechecked(self, monkeypatch):
+        # The factorization is correct by construction; the tests above
+        # check it, so no call pays for a primality re-check.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("factorize re-checked its own answer")
+
+        monkeypatch.setattr(arith_mod, "is_prime", forbidden)
+        prime = 1099511627791  # a prime near 2**40
+        smooth = 2**9 * 3**5 * 5**3 * 7**2 * 11 * 13 * 17 * 19
+        misses = factorize.cache_info().misses
+        assert factorize(prime) == ((prime, 1),)
+        assert factorize(smooth) == (
+            (2, 9), (3, 5), (5, 3), (7, 2), (11, 1), (13, 1), (17, 1), (19, 1)
+        )
+        assert factorize.cache_info().misses == misses + 2
+        n = 2**3 * 3 * 31 * 10007
+        misses = divisors.cache_info().misses
+        divs = divisors(n)
+        assert divisors.cache_info().misses == misses + 1
+        assert len(divs) == 4 * 2 * 2 * 2
+        assert divs[:4] == (1, 2, 3, 4) and divs[-1] == n
+        assert all(a < b and n % a == 0 for a, b in zip(divs, divs[1:]))
 
 
 class TestDivisors:
     def test_one(self):
-        assert list(divisors(1)) == [1]
+        assert divisors(1) == (1,)
 
     def test_twelve(self):
-        assert list(divisors(12)) == [1, 2, 3, 4, 6, 12]
+        assert divisors(12) == (1, 2, 3, 4, 6, 12)
 
     def test_720720_count(self):
         divs = divisors(720720)
@@ -82,28 +95,20 @@ class TestDivisors:
         with pytest.raises(DomainError):
             divisors(0)
 
-    def test_invalid_constructions_rejected(self):
-        with pytest.raises(DomainError):
-            DivisorList(12, (1, 3, 2, 4, 6, 12))  # out of order
-        with pytest.raises(DomainError):
-            DivisorList(12, (1, 2, 3, 4, 6))  # r missing
-        with pytest.raises(DomainError):
-            DivisorList(12, (1, 2, 3, 4, 12))  # incomplete
-        with pytest.raises(DomainError):
-            DivisorList(12, (1, 2, 3, 5, 6, 12))  # 5 does not divide 12
-
     def test_factorization_roundtrip(self):
         # Each divisor's prime exponents are bounded by n's.
         for n in range(1, 201):
-            bound = dict(factorize(n).factors)
+            bound = dict(factorize(n))
             for d in divisors(n):
-                for p, e in factorize(d).factors:
+                for p, e in factorize(d):
                     assert e <= bound.get(p, 0)
 
     @given(st.integers(min_value=1, max_value=10**6))
     def test_count_matches_tau(self, n):
         divs = divisors(n)
-        assert len(divs) == factorize(n).tau
+        assert all(a < b for a, b in zip(divs, divs[1:]))
+        assert divs[0] == 1 and divs[-1] == n
+        assert len(divs) == prod(e + 1 for _, e in factorize(n))
         assert all(n % d == 0 for d in divs)
 
 

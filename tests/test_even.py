@@ -86,8 +86,16 @@ class TestConversions:
         # NaN compares unequal to everything, itself included.
         f = ResidueFunction(2, (float("nan"), 1.0))
         assert not is_even(f)
-        with pytest.raises(NotEvenError):
+        with pytest.raises(NotEvenError) as info:
             from_periodic(f)
+        assert info.value.witness == 1
+        assert "f(1) = nan is not a finite value" in str(info.value)
+        for values, witness in (((float("inf"), 1.0), 1), ((1.0, float("-inf")), 2)):
+            with pytest.raises(NotEvenError) as info:
+                from_periodic(ResidueFunction(2, values))
+            assert info.value.witness == witness
+            assert "is not a finite value" in str(info.value)
+            assert "differs" not in str(info.value)
 
     def test_from_periodic_rejects_uneven(self):
         with pytest.raises(NotEvenError) as info:
