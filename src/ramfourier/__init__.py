@@ -12,7 +12,6 @@ from .arith import (
     divisors,
     euler_phi,
     factorize,
-    gcd,
     is_prime,
     mobius,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "FormatError",
     "factorize",
     "divisors",
-    "gcd",
     "is_prime",
     "mobius",
     "euler_phi",

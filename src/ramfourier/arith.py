@@ -7,7 +7,6 @@ never overflow or round. The only limit is the factorization cap below.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
 
 from .errors import CapacityError, DomainError
 
@@ -15,7 +14,6 @@ __all__ = [
     "FACTORIZE_CAP",
     "factorize",
     "divisors",
-    "gcd",
     "is_prime",
     "mobius",
     "euler_phi",

@@ -113,8 +113,6 @@ def cmd_transform(args) -> int:
 def cmd_cauchy(args) -> int:
     f = load_function(args.f)
     g = load_function(args.g)
-    if f.r != g.r:
-        raise DomainError(f"modulus mismatch: {f.r} != {g.r}")
     both_even = isinstance(f, EvenFunction) and isinstance(g, EvenFunction)
     method = args.method
     if method == "auto":
@@ -122,8 +120,9 @@ def cmd_cauchy(args) -> int:
     if method == "even" and not both_even:
         raise DomainError("--method even needs two even-representation inputs")
 
-    pf = to_periodic(f) if isinstance(f, EvenFunction) else f
-    pg = to_periodic(g) if isinstance(g, EvenFunction) else g
+    # Only the residue-domain routes read the expansions.
+    if method != "even" or args.check:
+        pf, pg = (to_periodic(h) if isinstance(h, EvenFunction) else h for h in (f, g))
     if method == "even":
         product = cauchy_product_even(f, g)
     elif method == "naive":

@@ -4,7 +4,14 @@ from __future__ import annotations
 
 
 class DomainError(ValueError):
-    """An argument lies outside an operation's mathematical domain."""
+    """An argument lies outside an operation's mathematical domain.
+
+    `index` is the position of the offending item of a sequence, if any.
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class CapacityError(ValueError):

@@ -31,6 +31,7 @@ bare booleans, so a counterexample can be printed if one ever fails.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -152,33 +153,60 @@ def _normalise(num: Scalar, den: int) -> Scalar:
     return num / den
 
 
-def _checked_divisor_map(r: int, mapping: dict, what: str) -> dict:
+class _ReadOnlyDict(dict):
+    """A dict that refuses mutation, hashes by content and pickles by value."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("divisor-indexed values are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
+def _divisor_values(r: int, pairs) -> _ReadOnlyDict:
+    """A mapping, or (divisor, value) pairs, keyed by the divisors of r in
+    increasing order: the one check behind every even object and reader.
+
+    A non-divisor, a repeated divisor or a missing divisor raises
+    DomainError with the index of the offending pair (None if missing).
+    """
     divs = divisors(r)
-    if set(mapping) != set(divs):
-        missing = sorted(set(divs) - set(mapping))
-        extra = sorted(set(mapping) - set(divs))
-        detail = []
-        if missing:
-            detail.append(f"missing {missing}")
-        if extra:
-            detail.append(f"unexpected {extra}")
-        raise DomainError(
-            f"{what} mod {r} needs one value per divisor of {r}: " + ", ".join(detail)
-        )
-    return {d: mapping[d] for d in divs}
+    # A plain dict copy: a subclass's __missing__ could invent a value.
+    values = dict(pairs)
+    # tau(r) distinct keys that include every divisor are exactly the divisors.
+    if len(values) == len(pairs) == len(divs):
+        with suppress(KeyError):
+            return _ReadOnlyDict(zip(divs, map(values.__getitem__, divs)))
+    allowed, seen = set(divs), set()
+    # A mapping's keys are distinct, so its copy keeps every position.
+    for i, (d, _) in enumerate(values.items() if hasattr(pairs, "keys") else pairs):
+        if d not in allowed:
+            raise DomainError(f"{d} does not divide {r}", index=i)
+        if d in seen:
+            raise DomainError(f"duplicate divisor {d}", index=i)
+        seen.add(d)
+    raise DomainError(f"missing divisors {sorted(allowed - seen)}")
 
 
 @dataclass(frozen=True)
 class EvenFunction:
-    """A function even mod r, stored by its values on the divisors of r."""
+    """A function even mod r, stored by its values on the divisors of r.
+
+    values (a mapping, or (divisor, value) pairs) is kept as a read-only
+    dict in increasing divisor order; the object is immutable and hashable.
+    """
 
     r: int
     values: dict[int, Scalar]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "values", _checked_divisor_map(self.r, self.values, "an even function")
-        )
+        object.__setattr__(self, "values", _divisor_values(self.r, self.values))
 
     @classmethod
     def from_callable(cls, r: int, fn: Callable[[int], Scalar]) -> "EvenFunction":
@@ -189,36 +217,25 @@ class EvenFunction:
         """Evaluate at any integer n: f(n) = f(gcd(n, r))."""
         return self.values[gcd(n, self.r)]
 
-    @property
-    def is_exact(self) -> bool:
-        """True when every value is an int or a Fraction."""
-        return all(isinstance(v, _EXACT_TYPES) for v in self.values.values())
-
 
 @dataclass(frozen=True)
 class EvenSpectrum:
-    """Transform coefficients of an even function, one per divisor of r."""
+    """Transform coefficients of an even function, one per divisor of r,
+    kept as `EvenFunction.values` is."""
 
     r: int
     coeffs: dict[int, Scalar]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", _checked_divisor_map(self.r, self.coeffs, "a spectrum")
-        )
-
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(v, _EXACT_TYPES) for v in self.coeffs.values())
+        object.__setattr__(self, "coeffs", _divisor_values(self.r, self.coeffs))
 
 
 def ramanujan_basis(d: int, r: int) -> EvenFunction:
     """The kernel row C(., d) as an even function mod r; d must divide r."""
-    if r < 1:
-        raise DomainError(f"modulus must be >= 1, got {r}")
-    if d < 1 or r % d:
+    divs = divisors(r)
+    if d not in divs:
         raise DomainError(f"{d} does not divide {r}")
-    return EvenFunction(r, {e: ramanujan_sum(e, d) for e in divisors(r)})
+    return EvenFunction(r, {e: ramanujan_sum(e, d) for e in divs})
 
 
 def from_periodic(f: ResidueFunction, tol: float = 1e-12) -> EvenFunction:
@@ -453,8 +470,6 @@ def verify_cauchy_kernel_even(r: int) -> VerificationReport:
 
     exactly, for every divisor pair and every residue n in 1..r.
     """
-    if r < 1:
-        raise DomainError(f"modulus must be >= 1, got {r}")
     if r > CAUCHY_KERNEL_CAP:
         raise CapacityError(
             f"kernel verification is capped at r <= {CAUCHY_KERNEL_CAP}, got {r}"

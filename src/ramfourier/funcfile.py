@@ -8,13 +8,17 @@ Text form, one value per line:
 
 Blank lines and '#' comments are ignored on input. Scalars are integers
 ("-3"), reduced fractions ("3/4"), decimal floats ("1.25", "2e-3"), or
-complex values ("1.5+2j", trailing j, no spaces). A ".json" path is
-accepted on input with the same fields:
+complex values ("1.5+2j", trailing j, no spaces), written in ASCII
+without '_' separators. A ".json" path is accepted on input with the
+same fields:
 
     {"modulus": 4, "representation": "periodic", "values": [...]}
 
 where even values are {"divisor": d, "value": v} objects and each value
 is a number or a scalar string.
+
+The readers check syntax; the value objects check that the values fit
+the modulus. Every error names its line (text) or field (JSON).
 
 Writers emit canonical scalars: fractions reduced with positive
 denominator, integers without "/1", floats as their shortest round-trip
@@ -33,8 +37,7 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
-from .arith import divisors
-from .errors import FormatError
+from .errors import DomainError, FormatError
 from .even import EvenFunction, EvenSpectrum
 from .periodic import PeriodicSpectrum, ResidueFunction, Scalar, _non_finite
 
@@ -47,7 +50,9 @@ __all__ = [
     "format_function",
 ]
 
-_INT_RE = re.compile(r"[+-]?\d+")
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+
+_CLASSES = {"periodic": ResidueFunction, "even": EvenFunction}
 
 
 def format_scalar(v: Scalar) -> str:
@@ -77,6 +82,9 @@ def parse_scalar(token: str) -> Scalar:
     token = token.strip()
     if not token:
         raise FormatError("empty value")
+    # int(), float(), Fraction() and complex() also take '_' and non-ASCII digits.
+    if "_" in token or not token.isascii():
+        raise FormatError(f"bad value {token!r}: numbers are ASCII without '_'")
     if _INT_RE.fullmatch(token):
         return int(token)
     if "/" in token:
@@ -102,10 +110,9 @@ def parse_scalar(token: str) -> Scalar:
 def _parse_header(fields: list[str], lineno: int) -> tuple[int, str]:
     if len(fields) != 2:
         raise FormatError("header must be '<modulus> <periodic|even>'", line=lineno)
-    try:
-        modulus = int(fields[0])
-    except ValueError:
-        raise FormatError(f"bad modulus {fields[0]!r}", line=lineno) from None
+    if not _INT_RE.fullmatch(fields[0]):
+        raise FormatError(f"bad modulus {fields[0]!r}", line=lineno)
+    modulus = int(fields[0])
     if modulus < 1:
         raise FormatError(f"modulus must be >= 1, got {modulus}", line=lineno)
     representation = fields[1].lower()
@@ -130,42 +137,27 @@ def parse_function_text(text: str) -> ResidueFunction | EvenFunction:
     modulus, representation = _parse_header(head.split(), head_no)
     body = entries[1:]
 
-    if representation == "periodic":
-        if len(body) != modulus:
-            raise FormatError(
-                f"expected {modulus} value lines, found {len(body)}", line=head_no
-            )
-        values = []
-        for lineno, line in body:
-            if len(line.split()) != 1:
-                raise FormatError("periodic lines hold a single value", line=lineno)
-            try:
-                values.append(parse_scalar(line))
-            except FormatError as exc:
-                raise FormatError(str(exc), line=lineno) from None
-        return ResidueFunction(modulus, tuple(values))
-
-    values = {}
+    items = []
     for lineno, line in body:
         parts = line.split()
-        if len(parts) != 2:
-            raise FormatError("even lines are '<divisor> <value>'", line=lineno)
         try:
-            d = int(parts[0])
-        except ValueError:
-            raise FormatError(f"bad divisor {parts[0]!r}", line=lineno) from None
-        if d < 1 or modulus % d:
-            raise FormatError(f"{d} does not divide {modulus}", line=lineno)
-        if d in values:
-            raise FormatError(f"duplicate divisor {d}", line=lineno)
-        try:
-            values[d] = parse_scalar(parts[1])
+            if representation == "periodic":
+                if len(parts) != 1:
+                    raise FormatError("periodic lines hold a single value")
+                items.append(parse_scalar(line))
+            else:
+                if len(parts) != 2:
+                    raise FormatError("even lines are '<divisor> <value>'")
+                if not _INT_RE.fullmatch(parts[0]):
+                    raise FormatError(f"bad divisor {parts[0]!r}")
+                items.append((int(parts[0]), parse_scalar(parts[1])))
         except FormatError as exc:
             raise FormatError(str(exc), line=lineno) from None
-    missing = [d for d in divisors(modulus) if d not in values]
-    if missing:
-        raise FormatError(f"missing divisors {missing}")
-    return EvenFunction(modulus, values)
+    try:
+        return _CLASSES[representation](modulus, items)
+    except DomainError as exc:
+        line = head_no if exc.index is None else body[exc.index][0]
+        raise FormatError(str(exc), line=line) from None
 
 
 def _json_scalar(v, where: str) -> Scalar:
@@ -208,30 +200,22 @@ def parse_function_json(text: str) -> ResidueFunction | EvenFunction:
         raise FormatError("field 'values' must be an array")
 
     if representation == "periodic":
-        values = [
-            _json_scalar(v, f"values[{i}]") for i, v in enumerate(raw_values)
-        ]
-        if len(values) != modulus:
-            raise FormatError(f"expected {modulus} values, found {len(values)}")
-        return ResidueFunction(modulus, tuple(values))
-
-    values = {}
-    for i, item in enumerate(raw_values):
-        where = f"values[{i}]"
-        if not isinstance(item, dict) or set(item) != {"divisor", "value"}:
-            raise FormatError(f"field {where}: expected {{'divisor', 'value'}}")
-        d = item["divisor"]
-        if isinstance(d, bool) or not isinstance(d, int):
-            raise FormatError(f"field {where}.divisor: expected an integer")
-        if d < 1 or modulus % d:
-            raise FormatError(f"field {where}.divisor: {d} does not divide {modulus}")
-        if d in values:
-            raise FormatError(f"field {where}.divisor: duplicate divisor {d}")
-        values[d] = _json_scalar(item["value"], f"{where}.value")
-    missing = [d for d in divisors(modulus) if d not in values]
-    if missing:
-        raise FormatError(f"missing divisors {missing}")
-    return EvenFunction(modulus, values)
+        items = [_json_scalar(v, f"values[{i}]") for i, v in enumerate(raw_values)]
+    else:
+        items = []
+        for i, item in enumerate(raw_values):
+            where = f"values[{i}]"
+            if not isinstance(item, dict) or set(item) != {"divisor", "value"}:
+                raise FormatError(f"field {where}: expected {{'divisor', 'value'}}")
+            d = item["divisor"]
+            if isinstance(d, bool) or not isinstance(d, int):
+                raise FormatError(f"field {where}.divisor: expected an integer")
+            items.append((d, _json_scalar(item["value"], f"{where}.value")))
+    try:
+        return _CLASSES[representation](modulus, items)
+    except DomainError as exc:
+        where = "values" if exc.index is None else f"values[{exc.index}].divisor"
+        raise FormatError(f"field {where}: {exc}") from None
 
 
 def load_function(path: str | Path) -> ResidueFunction | EvenFunction:
@@ -249,9 +233,9 @@ def _payload(obj) -> tuple[int, str, list]:
     if isinstance(obj, PeriodicSpectrum):
         return obj.r, "periodic", list(obj.coeffs)
     if isinstance(obj, EvenFunction):
-        return obj.r, "even", [(d, obj.values[d]) for d in divisors(obj.r)]
+        return obj.r, "even", list(obj.values.items())
     if isinstance(obj, EvenSpectrum):
-        return obj.r, "even", [(d, obj.coeffs[d]) for d in divisors(obj.r)]
+        return obj.r, "even", list(obj.coeffs.items())
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

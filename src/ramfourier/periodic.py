@@ -65,6 +65,16 @@ def _same_modulus(f, g):
         raise DomainError(f"modulus mismatch: {f.r} != {g.r}")
 
 
+def _residue_values(r: int, values) -> tuple:
+    """values as a tuple of r entries, one per residue: the one count check."""
+    if r < 1:
+        raise DomainError(f"modulus must be >= 1, got {r}")
+    values = tuple(values)
+    if len(values) != r:
+        raise DomainError(f"expected {r} values, found {len(values)}")
+    return values
+
+
 @dataclass(frozen=True)
 class ResidueFunction:
     """A function on residues mod r, stored as its values at n = 1..r."""
@@ -73,18 +83,11 @@ class ResidueFunction:
     values: tuple[Scalar, ...]
 
     def __post_init__(self):
-        if self.r < 1:
-            raise DomainError(f"modulus must be >= 1, got {self.r}")
-        if not isinstance(self.values, tuple):
-            object.__setattr__(self, "values", tuple(self.values))
-        if len(self.values) != self.r:
-            raise DomainError(f"expected {self.r} values, got {len(self.values)}")
+        object.__setattr__(self, "values", _residue_values(self.r, self.values))
 
     @classmethod
     def from_callable(cls, r: int, fn: Callable[[int], Scalar]) -> "ResidueFunction":
         """Tabulate fn at n = 1..r."""
-        if r < 1:
-            raise DomainError(f"modulus must be >= 1, got {r}")
         return cls(r, tuple(fn(n) for n in range(1, r + 1)))
 
     def __call__(self, n: int) -> Scalar:
@@ -105,12 +108,7 @@ class PeriodicSpectrum:
     coeffs: tuple[Scalar, ...]
 
     def __post_init__(self):
-        if self.r < 1:
-            raise DomainError(f"modulus must be >= 1, got {self.r}")
-        if not isinstance(self.coeffs, tuple):
-            object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if len(self.coeffs) != self.r:
-            raise DomainError(f"expected {self.r} coefficients, got {len(self.coeffs)}")
+        object.__setattr__(self, "coeffs", _residue_values(self.r, self.coeffs))
 
     def __call__(self, k: int) -> Scalar:
         """Coefficient at any integer k; coefficients are periodic in k."""

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import ramfourier.cli as cli
 from ramfourier import parse_function_text
 from ramfourier.cli import main
 
@@ -115,9 +116,15 @@ class TestTransform:
 
     def test_malformed_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
-        bad.write_text("3 periodic\n1\nnot-a-number\n3\n")
-        code, _, err = run(["transform", "--kind", "rft", bad], capsys)
-        assert code == 2 and "line 3" in err
+        cases = [
+            ("3 periodic\n1\nnot-a-number\n3\n", "line 3"),
+            ("1_2 even\n1 1\n2 2\n3 3\n4 4\n6 6\n12 12\n", "line 1: bad modulus"),
+            ("2 periodic\n1\n1_0\n", "line 3: bad value"),
+        ]
+        for text, where in cases:
+            bad.write_text(text)
+            code, out, err = run(["transform", "--kind", "rft", bad], capsys)
+            assert code == 2 and out == "" and where in err
 
     def test_non_finite_values(self, capsys, tmp_path):
         for value in ("nan", "1e400"):
@@ -223,6 +230,20 @@ class TestCauchy:
             capsys,
         )
         assert code == 2 and "even" in err
+
+    def test_even_route_never_expands(self, capsys, monkeypatch):
+        # Only the residue-domain routes and --check read the expansions.
+        pair = [FIXTURES / "rational6.txt", FIXTURES / "rational6.txt"]
+        variants = ([], ["--method", "even"], ["--format", "json"])
+        want = [run(["cauchy", *pair, *extra], capsys) for extra in variants]
+
+        def refuse(e):
+            raise AssertionError("the even route expanded its input")
+
+        monkeypatch.setattr(cli, "to_periodic", refuse)
+        for extra, expected in zip(variants, want):
+            assert run(["cauchy", *pair, *extra], capsys) == expected
+        assert expected[0] == 0 and expected[1].startswith("{")
 
     def test_modulus_mismatch(self, capsys):
         code, _, err = run(

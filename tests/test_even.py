@@ -1,7 +1,11 @@
 """Tests for divisor-indexed even functions and their transform."""
 
+import copy
+import dataclasses
+import pickle
 import random
 import tracemalloc
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd, prod
 
@@ -20,6 +24,7 @@ from ramfourier import (
     EvenSpectrum,
     IdentityCheck,
     NotEvenError,
+    PeriodicSpectrum,
     ResidueFunction,
     VerificationReport,
     cauchy_product,
@@ -57,10 +62,41 @@ rationals = st.fractions(min_value=-10, max_value=10, max_denominator=24)
 
 class TestEvenFunction:
     def test_requires_every_divisor(self):
-        with pytest.raises(DomainError):
-            EvenFunction(4, {1: 1, 2: 2})
-        with pytest.raises(DomainError):
-            EvenFunction(4, {1: 1, 2: 2, 3: 0, 4: 4})
+        # The index is the position of the offending pair, None when a
+        # divisor is missing, so the file readers can name its line.
+        cases = [
+            ({1: 1, 2: 2}, "missing divisors [4]", None),
+            ({1: 1, 2: 2, 3: 0, 4: 4}, "3 does not divide 4", 2),
+            ([(4, 4), (1, 1), (2, 2), (4, 0)], "duplicate divisor 4", 3),
+            ([(0, 1), (1, 1), (2, 2), (4, 4)], "0 does not divide 4", 0),
+            # A lookup of the missing 4 must not make __missing__ invent it.
+            (defaultdict(int, {1: 1, 2: 2, 3: 0}), "3 does not divide 4", 2),
+        ]
+        for values, message, index in cases:
+            for cls in (EvenFunction, EvenSpectrum):
+                with pytest.raises(DomainError) as info:
+                    cls(4, values)
+                assert str(info.value) == message and info.value.index == index
+
+    def test_values_are_read_only_in_divisor_order(self):
+        for values in ({4: 4, 1: 1, 2: 2}, [(2, 2), (4, 4), (1, 1)]):
+            f = EvenFunction(4, values)
+            assert f == GCD4 and list(f.values) == [1, 2, 4]
+            assert isinstance(f.values, dict)
+        mutations = [
+            lambda v: v.__setitem__(1, 99),
+            lambda v: v.__delitem__(1),
+            lambda v: v.__ior__({1: 99}),
+            lambda v: v.update({1: 99}),
+            lambda v: v.setdefault(3, 99),
+            lambda v: v.pop(1),
+            lambda v: v.popitem(),
+            lambda v: v.clear(),
+        ]
+        for mutate in mutations:
+            with pytest.raises(TypeError, match="read-only"):
+                mutate(GCD4.values)
+        assert GCD4.values == {1: 1, 2: 2, 4: 4}
 
     def test_evaluation_through_gcd(self):
         assert GCD4(6) == 2
@@ -488,3 +524,40 @@ class TestReports:
 
     def test_empty_report_passes(self):
         assert VerificationReport("demo", 1, ()).passed
+
+
+VALUE_OBJECTS = {
+    "EvenFunction": (lambda: EvenFunction(4, {4: 4, 1: Fraction(1, 2), 2: 2.5}), "values"),
+    "EvenSpectrum": (lambda: EvenSpectrum(4, {1: 8, 2: 4, 4: 2 + 1j}), "coeffs"),
+    "ResidueFunction": (lambda: ResidueFunction(3, (1, Fraction(1, 2), 0.5)), "values"),
+    "PeriodicSpectrum": (lambda: PeriodicSpectrum(2, (1 + 0j, 2j)), "coeffs"),
+    "IdentityCheck": (lambda: IdentityCheck((1, 2), 3, 3, True), "subject"),
+    "VerificationReport": (lambda: verify_symmetry(4), "checks"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_OBJECTS))
+class TestValueObjects:
+    def test_equal_objects_hash_equal(self, name):
+        make, _ = VALUE_OBJECTS[name]
+        assert make() is not make() and make() == make()
+        assert hash(make()) == hash(make())
+        assert len({make(), make()}) == 1
+
+    def test_mutation_raises(self, name):
+        make, field = VALUE_OBJECTS[name]
+        obj = make()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field, None)
+        data = getattr(obj, field)
+        key = next(iter(data)) if isinstance(data, dict) else 0
+        with pytest.raises(TypeError):
+            data[key] = 99
+        assert obj == make()
+
+    def test_pickle_and_deepcopy_round_trip(self, name):
+        make, field = VALUE_OBJECTS[name]
+        obj = make()
+        for back in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj), copy.copy(obj)):
+            assert back == obj and hash(back) == hash(obj)
+            assert type(getattr(back, field)) is type(getattr(obj, field))

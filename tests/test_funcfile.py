@@ -1,5 +1,6 @@
 """Tests for the function file format: parsing, printing, closure."""
 
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -77,6 +78,15 @@ class TestScalars:
             with pytest.raises(FormatError):
                 parse_scalar(token)
 
+    @pytest.mark.parametrize(
+        "token", ["1_0", "-1_000", "1_0.5", "1e1_0", "1_0/3", "1/1_0", "1_0+2j", "\u0661\u0662",
+                  "\uff11\uff12", "1.\uff15", "\u00bd", "3/\u0664"]
+    )
+    def test_only_ascii_numbers(self, token):
+        # int(), float(), Fraction() and complex() would read all of these.
+        with pytest.raises(FormatError, match="bad value"):
+            parse_scalar(token)
+
     def test_non_finite_tokens(self):
         for token in ("nan", "NaN", "inf", "-inf", "Infinity", "1e400", "-1e400",
                       "nan+1j", "1+infj", "1e400+1j", "1-1e400j"):
@@ -112,6 +122,51 @@ class TestTextParsing:
             parse_function_text("4 periodic\n1\n2\n3\n")  # wrong count
         with pytest.raises(FormatError):
             parse_function_text("")
+
+
+TEXT_ERRORS = {
+    "non-divisor": ("4 even\n1 1\n2 2\n3 0\n4 4\n", 4, "3 does not divide 4"),
+    "duplicate": ("4 even\n1 1\n# comment\n\n2 2\n2 3\n4 4\n", 6, "duplicate divisor 2"),
+    "missing": ("# header follows\n4 even\n4 4\n1 1\n", 2, "missing divisors [2]"),
+    "wrong count": ("\n3 periodic\n1\n2\n", 2, "expected 3 values, found 2"),
+    "modulus spelling": ("1_2 even\n", 1, "bad modulus '1_2'"),
+    "divisor spelling": ("4 even\n1 1\n2 2\n\uff14 4\n", 4, "bad divisor '\uff14'"),
+    "value spelling": ("2 periodic\n1\n1_0\n", 3, "bad value '1_0'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TEXT_ERRORS))
+def test_text_errors_name_their_line(case):
+    text, line, message = TEXT_ERRORS[case]
+    with pytest.raises(FormatError) as info:
+        parse_function_text(text)
+    assert info.value.line == line
+    assert str(info.value).startswith(f"line {line}: {message}")
+
+
+def _json(representation, values):
+    return json.dumps({"modulus": 4, "representation": representation, "values": values})
+
+
+def _pairs(*divisors):
+    return [{"divisor": d, "value": 1} for d in divisors]
+
+
+JSON_ERRORS = {
+    "non-divisor": (_json("even", _pairs(1, 3, 2, 4)), "values[1].divisor", "3 does not divide 4"),
+    "duplicate": (_json("even", _pairs(1, 2, 4, 2)), "values[3].divisor", "duplicate divisor 2"),
+    "missing": (_json("even", _pairs(4, 1)), "values", "missing divisors [2]"),
+    "wrong count": (_json("periodic", [1, 2, 3]), "values", "expected 4 values, found 3"),
+    "value spelling": (_json("periodic", [1, 2, "1_0", 4]), "values[2]", "bad value '1_0'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JSON_ERRORS))
+def test_json_errors_name_their_field(case):
+    text, field, message = JSON_ERRORS[case]
+    with pytest.raises(FormatError) as info:
+        parse_function_json(text)
+    assert str(info.value).startswith(f"field {field}: {message}")
 
 
 class TestJsonParsing:
