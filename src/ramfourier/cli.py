@@ -41,6 +41,7 @@ from .periodic import (
     EVENNESS_TOL,
     PeriodicSpectrum,
     ResidueFunction,
+    _same_modulus,
     cauchy_product,
     cauchy_product_spectral,
     dft,
@@ -113,6 +114,7 @@ def cmd_transform(args) -> int:
 def cmd_cauchy(args) -> int:
     f = load_function(args.f)
     g = load_function(args.g)
+    _same_modulus(f, g)
     both_even = isinstance(f, EvenFunction) and isinstance(g, EvenFunction)
     method = args.method
     if method == "auto":

@@ -18,11 +18,15 @@ in all, no kernel table and nothing of size r. Exact input is scaled once to
 integers over the lcm of its denominators, and every route divides once
 at the end, giving an int wherever the denominator is 1.
 
-`rft` is a second, independent route: it groups the defining r-term sum
-by gcd(n, r) = e into tau(r)^2 kernel values `ramanujan_sum(e, d)`
-weighted by phi(r/e), and the tests compare it with the Kronecker
-route. `rft_naive` keeps the r-term sum as a slow reference. On
-int/Fraction input all three are exact and identical.
+`rft` is a second, independent route on the divisor lattice. Grouping
+the defining r-term sum by gcd(n, r) and expanding C(e, d) as the
+divisor sum of m mu(d/m) over m | gcd(e, d) turns it into a zeta
+transform over multiples followed by a Moebius transform, both one pass
+per prime power in the same mixed-radix order: at most
+2 tau(r) omega(r) additions and no kernel values, so the tests can
+compare it with the Kronecker route. `rft_naive` keeps the r-term sum as
+a slow reference. On int/Fraction input all three are exact and
+identical.
 
 The verify_* functions check the classical identities behind all of
 this instance by instance and return structured reports rather than
@@ -268,20 +272,41 @@ def to_periodic(e: EvenFunction) -> ResidueFunction:
 def rft(f: EvenFunction) -> EvenSpectrum:
     """Transform coefficients R(d) = phi(d)^{-1} sum_n f(n) C(n, d).
 
-    The r-term sum collapses to the divisors of r: the phi(r/e) residues
-    n with gcd(n, r) = e all contribute f(e) C(e, d), giving tau(r)^2
-    kernel values. Exact input gives exact output (the phi(d) division
-    always comes out even); floating input rounds once per coefficient.
+    The phi(r/e) residues n with gcd(n, r) = e all contribute f(e) C(e, d),
+    and C(e, d) = sum_{m | gcd(e, d)} m mu(d/m), so with
+    Z(m) = sum_{m | e | r} f(e) phi(r/e):
+
+        phi(d) R(d) = sum_{m | d} mu(d/m) m Z(m).
+
+    Z is a zeta transform over multiples (a suffix sum on each prime
+    axis) and the outer sum a Moebius transform (a first difference on
+    each axis, as mu(p^j) = 0 for j > 1). Every factor is multiplicative,
+    so one pass per prime power does both, with the phi(r/e) weights and
+    the factor m: at most 2 tau(r) omega(r) additions, no kernel values.
+    Exact input gives exact output; floating input rounds per pass.
     """
     r = f.r
-    divs = divisors(r)
-    weights = [euler_phi(r // e) for e in divs]
-    nums, den = _scaled([f.values[e] for e in divs])
-    coeffs = {}
-    for d in divs:
-        total = sum(x * w * ramanujan_sum(e, d) for x, e, w in zip(nums, divs, weights))
-        coeffs[d] = _normalise(total, den * euler_phi(d))
-    return EvenSpectrum(r, coeffs)
+    factors, order = _layout(r)
+    x, den = _scaled([f.values[e] for e in order])
+    tau = len(x)
+    for p, a in factors:
+        m = a + 1
+        s = tau // m
+        y = [0] * tau
+        # zeta holds Z_k, the weighted sum of slabs k..a on this axis;
+        # output digit k is p^k Z_k - p^(k-1) Z_(k-1), digit 0 is Z_0.
+        zeta = x[a * s:]
+        for k in range(a, 0, -1):
+            weight = p ** (a - k) * (p - 1)  # phi(p^(a-k+1))
+            below = [u + weight * v for u, v in zip(zeta, x[(k - 1) * s:k * s])]
+            high, low = p**k, p ** (k - 1)
+            y[k::m] = [high * u - low * v for u, v in zip(zeta, below)]
+            zeta = below
+        y[0::m] = zeta
+        x = y
+    return EvenSpectrum(
+        r, {d: _normalise(t, den * euler_phi(d)) for d, t in zip(order, x)}
+    )
 
 
 def rft_naive(f: EvenFunction) -> EvenSpectrum:
@@ -332,13 +357,16 @@ def inner_product_even(f: EvenFunction, g: EvenFunction) -> Scalar:
     """<f, g> on divisor data: sum_{d | r} f(d) conj(g(d)) phi(r/d).
 
     Agrees with the residue-domain inner product of the expansions,
-    because phi(r/d) residues share each divisor value.
+    because phi(r/d) residues share each divisor value. Exact input runs
+    on integers and divides once, so an integral result is an int.
     """
     _same_modulus(f, g)
     r = f.r
-    return sum(
-        f.values[d] * _conj(g.values[d]) * euler_phi(r // d) for d in divisors(r)
-    )
+    divs = divisors(r)
+    nf, lf = _scaled([f.values[d] for d in divs])
+    ng, lg = _scaled([_conj(g.values[d]) for d in divs])
+    total = sum(a * b * euler_phi(r // d) for a, b, d in zip(nf, ng, divs))
+    return _normalise(total, lf * lg)
 
 
 def cauchy_product_even(f: EvenFunction, g: EvenFunction) -> EvenFunction:

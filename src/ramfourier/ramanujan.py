@@ -2,14 +2,15 @@
 
 C(n, r) sums exp(2*pi*i*k*n/r) over the residues k coprime to r. It is
 always an integer and depends on n only through gcd(n, r); the exact
-production path evaluates the equivalent divisor sum
+production path evaluates Hoelder's closed form
 
-    C(n, r) = sum of d * mu(r/d) over the divisors d of gcd(n, r)
+    C(n, r) = mu(k) * phi(r) / phi(k),  k = r / gcd(n, r),
 
-by integer additions and subtractions, caching one integer per pair
-(gcd(n, r), r). Every kernel value the library reads comes from
-`ramanujan_sum`. The defining exponential sum is kept only as a test
-oracle, with an explicit size cap.
+which is 0 whenever k is not squarefree. It reads only the cached mu
+and phi of single integers, so no per-pair value is stored. Every kernel
+value the library reads comes from `ramanujan_sum`; `even.rft` needs
+none. The defining exponential sum is kept only as a test oracle, with
+an explicit size cap.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from .arith import divisors, mobius
+from .arith import euler_phi, mobius
 from .errors import CapacityError, DomainError
 from .periodic import _roots
 
@@ -30,12 +31,6 @@ __all__ = [
 ORACLE_CAP = 10**6
 
 
-@lru_cache(maxsize=None)
-def _sum_for_gcd(g: int, r: int) -> int:
-    # g must be gcd(n, r); the value depends on n only through it.
-    return sum(d * mobius(r // d) for d in divisors(g))
-
-
 def ramanujan_sum(n: int, r: int) -> int:
     """C(n, r) as an exact integer.
 
@@ -44,7 +39,9 @@ def ramanujan_sum(n: int, r: int) -> int:
     """
     if r < 1:
         raise DomainError(f"modulus must be >= 1, got {r}")
-    return _sum_for_gcd(gcd(n, r), r)
+    k = r // gcd(n, r)
+    mu = mobius(k)
+    return mu * (euler_phi(r) // euler_phi(k)) if mu else 0
 
 
 @lru_cache(maxsize=2)

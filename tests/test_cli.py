@@ -4,7 +4,7 @@ import json
 from pathlib import Path
 
 import ramfourier.cli as cli
-from ramfourier import parse_function_text
+from ramfourier import divisors, parse_function_text
 from ramfourier.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -250,6 +250,20 @@ class TestCauchy:
             ["cauchy", FIXTURES / "const4.txt", FIXTURES / "rational6.txt"], capsys
         )
         assert code == 2 and "modulus mismatch" in err
+
+    def test_modulus_mismatch_exits_before_expanding(self, capsys, monkeypatch, tmp_path):
+        paths = []
+        for r in (720720, 360360):
+            path = tmp_path / f"even{r}.txt"
+            path.write_text(f"{r} even\n" + "".join(f"{d} 1\n" for d in divisors(r)))
+            paths.append(path)
+
+        def refuse(e):
+            raise AssertionError("a mismatched input was expanded")
+
+        monkeypatch.setattr(cli, "to_periodic", refuse)
+        code, out, err = run(["cauchy", *paths, "--method", "naive"], capsys)
+        assert (code, out) == (2, "") and "modulus mismatch: 720720 != 360360" in err
 
     def test_json_check_fields(self, capsys):
         code, out, _ = run(

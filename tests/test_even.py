@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import ramfourier.even as even_mod
 import ramfourier.periodic as periodic_mod
+import ramfourier.ramanujan as ramanujan_mod
 from ramfourier import (
     FACTORIZE_CAP,
     CAUCHY_KERNEL_CAP,
@@ -281,19 +282,23 @@ class TestKroneckerCore:
     def test_matches_tau_squared_oracle(self, kind, r, data):
         divs = divisors(r)
         values = {d: data.draw(SCALARS[kind]) for d in divs}
-        forward = rft_divisor_form(EvenFunction(r, values)).coeffs
+        # The Kronecker and lattice routes share only _layout, _scaled and
+        # _normalise; the oracle reads divisors and ramanujan_sum alone.
+        f = EvenFunction(r, values)
+        forwards = (rft_divisor_form(f).coeffs, rft(f).coeffs)
         inverse = irft(EvenSpectrum(r, values)).values
         want_forward = oracle_forward(r, values)
         want_inverse = oracle_inverse(r, values)
         if kind == "complex":
             scale = 1e-12 * r * len(divs) * (1 + max(abs(v) for v in values.values()))
             for d in divs:
-                assert abs(forward[d] - want_forward[d]) <= scale
+                for forward in forwards:
+                    assert abs(forward[d] - want_forward[d]) <= scale
                 assert abs(inverse[d] - want_inverse[d] / r) <= scale / r
             return
         for d in divs:
             for got, want in (
-                (forward[d], canonical(Fraction(want_forward[d]))),
+                *((forward[d], canonical(Fraction(want_forward[d]))) for forward in forwards),
                 (inverse[d], canonical(Fraction(want_inverse[d], r))),
             ):
                 assert got == want
@@ -313,7 +318,12 @@ class TestKroneckerCore:
         assert len(f.values) == 1920
 
         tracemalloc.start()
-        back = irft(rft_divisor_form(f))
+        with monkeypatch.context() as patch:
+            # The lattice route reads no Kronecker pass either.
+            patch.setattr(even_mod, "_kronecker", forbidden)
+            spectrum = rft(f)
+        assert rft_divisor_form(f) == spectrum
+        back = irft(spectrum)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
 
@@ -323,8 +333,16 @@ class TestKroneckerCore:
         assert peak < 4_000_000
 
     def test_caches_are_bounded(self):
-        for cache in (even_mod._layout, periodic_mod._roots):
-            assert cache.cache_info().maxsize is not None
+        caches = [periodic_mod._roots]
+        for module in (even_mod, ramanujan_mod):
+            caches += [
+                obj
+                for obj in vars(module).values()
+                if hasattr(obj, "cache_info") and obj.__module__ == module.__name__
+            ]
+        assert even_mod._layout in caches and ramanujan_mod._coprime_residues in caches
+        for cache in caches:
+            assert cache.cache_info().maxsize is not None, cache.__name__
 
 
 class TestInnerProductEven:
@@ -332,6 +350,10 @@ class TestInnerProductEven:
         for r in (1, 6, 20):
             ones = EvenFunction.from_callable(r, lambda d: 1)
             assert inner_product_even(ones, ones) == r
+            # Exact input divides once: an integral result is an int.
+            twos = EvenFunction.from_callable(r, lambda d: Fraction(4, 2))
+            got = inner_product_even(twos, ones)
+            assert got == 2 * r and type(got) is int
 
     def test_basis_row_norm(self):
         c4 = ramanujan_basis(4, 4)
