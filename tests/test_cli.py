@@ -142,6 +142,16 @@ class TestTransform:
             assert code == 2 and out == ""
             assert err.startswith("error: ") and "non-finite value inf+0j at index 2" in err
 
+    def test_overflowing_output_is_refused_at_fft_lengths(self, capsys, tmp_path):
+        # 17 runs through Bluestein's chirp-z, 12 through mixed radix 2 and 3.
+        big = tmp_path / "big.txt"
+        for r in (17, 12):
+            big.write_text(f"{r} periodic\n" + "1e308\n" * r)
+            for fmt in ("text", "json"):
+                code, out, err = run(["transform", "--kind", "dft", big, "--format", fmt], capsys)
+                assert code == 2 and out == ""
+                assert err.startswith("error: cannot write non-finite value ")
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(["transform", "--kind", "rft", tmp_path / "nope.txt"], capsys)
         assert code == 2 and "error" in err

@@ -333,13 +333,14 @@ class TestKroneckerCore:
         assert peak < 4_000_000
 
     def test_caches_are_bounded(self):
-        caches = [periodic_mod._roots]
-        for module in (even_mod, ramanujan_mod):
+        caches = []
+        for module in (periodic_mod, even_mod, ramanujan_mod):
             caches += [
                 obj
                 for obj in vars(module).values()
                 if hasattr(obj, "cache_info") and obj.__module__ == module.__name__
             ]
+        assert periodic_mod._roots in caches
         assert even_mod._layout in caches and ramanujan_mod._coprime_residues in caches
         for cache in caches:
             assert cache.cache_info().maxsize is not None, cache.__name__

@@ -2,11 +2,13 @@
 
 import cmath
 import random
+import time
 from fractions import Fraction
 from math import gcd, pi
 
 import pytest
 
+import ramfourier.periodic as periodic_mod
 from ramfourier import (
     DomainError,
     PeriodicSpectrum,
@@ -33,6 +35,41 @@ def random_complex_function(r, rng):
     return ResidueFunction(
         r, tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(r))
     )
+
+
+# The 24 moduli of the benchmark's periodic-float workload: powers of two,
+# primes from 131 to 1021 and smooth composites.
+BENCH_MODULI = (
+    128, 131, 144, 180, 199, 240, 256, 257, 270, 331, 360, 401,
+    432, 480, 509, 512, 600, 641, 720, 769, 840, 1000, 1021, 1024,
+)
+
+
+def oracle_dft(values):
+    """The direct O(r^2) sum, twiddles taken at the reduced index (-k*n) mod r."""
+    r = len(values)
+    roots = [cmath.exp(2j * pi * (m / r)) for m in range(r)]
+    vals = [complex(v) for v in values]
+    coeffs = []
+    for k in range(1, r + 1):
+        acc = 0j
+        for n in range(1, r + 1):
+            acc += vals[n - 1] * roots[(-k * n) % r]
+        coeffs.append(acc)
+    return coeffs
+
+
+def oracle_idft(coeffs):
+    """The direct O(r^2) inverse sum, twiddles at the reduced index (k*n) mod r."""
+    r = len(coeffs)
+    roots = [cmath.exp(2j * pi * (m / r)) for m in range(r)]
+    values = []
+    for n in range(1, r + 1):
+        acc = 0j
+        for k in range(1, r + 1):
+            acc += complex(coeffs[k - 1]) * roots[(k * n) % r]
+        values.append(acc / r)
+    return values
 
 
 class TestResidueFunction:
@@ -94,6 +131,58 @@ class TestIdft:
             f = random_complex_function(r, rng)
             back = idft(dft(f))
             assert max(abs(a - b) for a, b in zip(back.values, f.values)) <= 1e-9
+
+
+class TestAgainstDirectSum:
+    """The FFT pair against the direct sums, within 1e-10 absolute."""
+
+    @staticmethod
+    def check(r, rng):
+        f = random_complex_function(r, rng)
+        got = dft(f).coeffs
+        assert max(abs(a - b) for a, b in zip(got, oracle_dft(f.values))) <= 1e-10, r
+        spectrum = PeriodicSpectrum(r, f.values)
+        got = idft(spectrum).values
+        assert max(abs(a - b) for a, b in zip(got, oracle_idft(f.values))) <= 1e-10, r
+
+    def test_every_small_modulus(self):
+        rng = random.Random(31)
+        for r in range(1, 129):
+            self.check(r, rng)
+
+    def test_benchmark_moduli(self):
+        rng = random.Random(32)
+        for r in BENCH_MODULI:
+            self.check(r, rng)
+
+    def test_larger_moduli(self):
+        # 289 and 323 run two Bluestein stages, so the first one has twiddles;
+        # 1021 and 1024 set the benchmark's tail, prime against power of two.
+        rng = random.Random(33)
+        for r in (289, 323, 1021, 1024):
+            self.check(r, rng)
+
+
+def test_large_roundtrip_within_time_bound():
+    # The direct sums would take hours here; 65521 is prime (Bluestein).
+    start = time.perf_counter()
+    rng = random.Random(34)
+    for r in (65536, 65521):
+        f = random_complex_function(r, rng)
+        back = idft(dft(f))
+        assert max(abs(a - b) for a, b in zip(back.values, f.values)) <= 1e-9
+    assert time.perf_counter() - start < 20
+
+
+def test_roots_cache_holds_the_benchmark_moduli():
+    # A second pass over the 24 moduli must find every twiddle table cached.
+    functions = [ResidueFunction(r, (1.0,) * r) for r in BENCH_MODULI]
+    for f in functions:
+        dft(f)
+    misses = periodic_mod._roots.cache_info().misses
+    for f in functions:
+        dft(f)
+    assert periodic_mod._roots.cache_info().misses == misses
 
 
 def test_dft_injective_via_linearity():
