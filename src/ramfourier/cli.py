@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -28,7 +29,7 @@ from .even import (
     cauchy_product_even,
     from_periodic,
     irft,
-    rft_divisor_form,
+    rft,
     to_periodic,
     verify_cauchy_kernel_even,
     verify_orthogonality,
@@ -97,7 +98,7 @@ def cmd_transform(args) -> int:
         if isinstance(obj, ResidueFunction):
             obj = from_periodic(obj, tol)
         if args.direction == "forward":
-            result = rft_divisor_form(obj)
+            result = rft(obj)
         else:
             result = irft(EvenSpectrum(obj.r, obj.values))
     else:
@@ -236,6 +237,17 @@ def cmd_verify(args) -> int:
     return 0 if all_passed else 1
 
 
+def _tolerance(text: str) -> float:
+    # NaN would pass every check, inf any discrepancy, and a negative value none.
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -243,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--tolerance",
-        type=float,
+        type=_tolerance,
         default=None,
         metavar="TOL",
         help="tolerance for floating comparisons (exact paths ignore it)",

@@ -11,22 +11,15 @@ to. Such functions expand over the integer kernel rows C(., d):
 C(n, d) depends on n only through gcd(n, d) and is multiplicative in d,
 so for r = prod p^a the tau x tau divisor kernel is a Kronecker product
 of (a+1) x (a+1) blocks with entries C(p^j, p^k), one block per prime
-power. `rft_divisor_form`, `irft` and `cauchy_product_even` apply those
-blocks one prime at a time (Yates' algorithm). The blocks are banded, so
-each pass is one prefix sum: at most tau(r) * sum(a_i + 1) multiply-adds
-in all, no kernel table and nothing of size r. Exact input is scaled once to
+power. `rft`, `irft` and `cauchy_product_even` apply those blocks one
+prime at a time (Yates' algorithm). The blocks are banded, so each pass
+is one prefix sum: at most tau(r) * sum(a_i + 1) multiply-adds in all,
+no kernel table and nothing of size r. Exact input is scaled once to
 integers over the lcm of its denominators, and every route divides once
 at the end, giving an int wherever the denominator is 1.
 
-`rft` is a second, independent route on the divisor lattice. Grouping
-the defining r-term sum by gcd(n, r) and expanding C(e, d) as the
-divisor sum of m mu(d/m) over m | gcd(e, d) turns it into a zeta
-transform over multiples followed by a Moebius transform, both one pass
-per prime power in the same mixed-radix order: at most
-2 tau(r) omega(r) additions and no kernel values, so the tests can
-compare it with the Kronecker route. `rft_naive` keeps the r-term sum as
-a slow reference. On int/Fraction input all three are exact and
-identical.
+`rft_naive` keeps the defining r-term sum as a slow reference, and
+`verify_rft_dft_bridge` ties the fast route to the floating DFT.
 
 The verify_* functions check the classical identities behind all of
 this instance by instance and return structured reports rather than
@@ -270,67 +263,16 @@ def to_periodic(e: EvenFunction) -> ResidueFunction:
 
 
 def rft(f: EvenFunction) -> EvenSpectrum:
-    """Transform coefficients R(d) = phi(d)^{-1} sum_n f(n) C(n, d).
+    """Transform coefficients of f, in either of two equal forms:
 
-    The phi(r/e) residues n with gcd(n, r) = e all contribute f(e) C(e, d),
-    and C(e, d) = sum_{m | gcd(e, d)} m mu(d/m), so with
-    Z(m) = sum_{m | e | r} f(e) phi(r/e):
+        R(d) = phi(d)^{-1} sum_{n=1..r} f(n) C(n, d)
+             = sum_{e | r} f(r/e) C(r/d, e).
 
-        phi(d) R(d) = sum_{m | d} mu(d/m) m Z(m).
-
-    Z is a zeta transform over multiples (a suffix sum on each prime
-    axis) and the outer sum a Moebius transform (a first difference on
-    each axis, as mu(p^j) = 0 for j > 1). Every factor is multiplicative,
-    so one pass per prime power does both, with the phi(r/e) weights and
-    the factor m: at most 2 tau(r) omega(r) additions, no kernel values.
-    Exact input gives exact output; floating input rounds per pass.
-    """
-    r = f.r
-    factors, order = _layout(r)
-    x, den = _scaled([f.values[e] for e in order])
-    tau = len(x)
-    for p, a in factors:
-        m = a + 1
-        s = tau // m
-        y = [0] * tau
-        # zeta holds Z_k, the weighted sum of slabs k..a on this axis;
-        # output digit k is p^k Z_k - p^(k-1) Z_(k-1), digit 0 is Z_0.
-        zeta = x[a * s:]
-        for k in range(a, 0, -1):
-            weight = p ** (a - k) * (p - 1)  # phi(p^(a-k+1))
-            below = [u + weight * v for u, v in zip(zeta, x[(k - 1) * s:k * s])]
-            high, low = p**k, p ** (k - 1)
-            y[k::m] = [high * u - low * v for u, v in zip(zeta, below)]
-            zeta = below
-        y[0::m] = zeta
-        x = y
-    return EvenSpectrum(
-        r, {d: _normalise(t, den * euler_phi(d)) for d, t in zip(order, x)}
-    )
-
-
-def rft_naive(f: EvenFunction) -> EvenSpectrum:
-    """Reference transform by the defining r-term sums.
-
-    O(r * tau(r)) work over every residue; exists to cross-check the
-    grouped and divisor-form paths on desk-sized r.
-    """
-    r = f.r
-    coeffs = {}
-    for d in divisors(r):
-        total = sum(f(n) * ramanujan_sum(n, d) for n in range(1, r + 1))
-        coeffs[d] = _normalise(total, euler_phi(d))
-    return EvenSpectrum(r, coeffs)
-
-
-def rft_divisor_form(f: EvenFunction) -> EvenSpectrum:
-    """Division-free transform: R(d) = sum_{e | r} f(r/e) C(r/d, e).
-
-    Applies the kernel one prime power at a time: at most
-    tau(r) * sum(a_i + 1) multiply-adds for r = prod p_i^a_i, storage
-    proportional to tau(r) and nothing of size r. Integer input gives
-    integer coefficients; Fraction input runs on integers and divides
-    once.
+    The second, division-free form applies the kernel one prime power at
+    a time: at most tau(r) * sum(a_i + 1) multiply-adds for
+    r = prod p_i^a_i, storage proportional to tau(r) and nothing of size
+    r. Integer input gives integer coefficients; Fraction input runs on
+    integers and divides once.
     """
     r = f.r
     factors, order = _layout(r)
@@ -340,10 +282,28 @@ def rft_divisor_form(f: EvenFunction) -> EvenSpectrum:
     return EvenSpectrum(r, {d: _normalise(t, den) for d, t in zip(flipped, totals)})
 
 
+def rft_naive(f: EvenFunction) -> EvenSpectrum:
+    """Reference transform by the defining r-term sums.
+
+    O(r * tau(r)) work over every residue; exists to cross-check `rft`
+    on desk-sized r.
+    """
+    r = f.r
+    coeffs = {}
+    for d in divisors(r):
+        total = sum(f(n) * ramanujan_sum(n, d) for n in range(1, r + 1))
+        coeffs[d] = _normalise(total, euler_phi(d))
+    return EvenSpectrum(r, coeffs)
+
+
+# The name of the division-free form, kept for existing callers.
+rft_divisor_form = rft
+
+
 def irft(spectrum: EvenSpectrum) -> EvenFunction:
     """Inverse transform: f(e) = r^{-1} sum_{d | r} R(d) C(e, d).
 
-    The same per-prime kernel passes as `rft_divisor_form`, then one
+    The same per-prime kernel passes as `rft`, then one
     division by r (times the common denominator of exact input).
     """
     r = spectrum.r

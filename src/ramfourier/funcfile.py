@@ -34,8 +34,10 @@ from __future__ import annotations
 import cmath
 import json
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterable
 
 from .errors import DomainError, FormatError
 from .even import EvenFunction, EvenSpectrum
@@ -77,6 +79,16 @@ def _complex_part(x: float) -> str:
     return text[:-2] if text.endswith(".0") else text
 
 
+def _int(token: str) -> int:
+    # int() refuses more digits than CPython's int-to-text limit.
+    try:
+        return int(token)
+    except ValueError:
+        digits, limit = len(token.lstrip("+-")), sys.get_int_max_str_digits()
+        message = f"integer of {digits} digits exceeds the {limit}-digit limit"
+        raise FormatError(message) from None
+
+
 def parse_scalar(token: str) -> Scalar:
     """Parse one scalar token: int, fraction, float, or complex."""
     token = token.strip()
@@ -86,7 +98,7 @@ def parse_scalar(token: str) -> Scalar:
     if "_" in token or not token.isascii():
         raise FormatError(f"bad value {token!r}: numbers are ASCII without '_'")
     if _INT_RE.fullmatch(token):
-        return int(token)
+        return _int(token)
     if "/" in token:
         try:
             return Fraction(token)
@@ -107,20 +119,17 @@ def parse_scalar(token: str) -> Scalar:
     return value
 
 
-def _parse_header(fields: list[str], lineno: int) -> tuple[int, str]:
+def _parse_header(fields: list[str]) -> tuple[int, str]:
     if len(fields) != 2:
-        raise FormatError("header must be '<modulus> <periodic|even>'", line=lineno)
+        raise FormatError("header must be '<modulus> <periodic|even>'")
     if not _INT_RE.fullmatch(fields[0]):
-        raise FormatError(f"bad modulus {fields[0]!r}", line=lineno)
-    modulus = int(fields[0])
+        raise FormatError(f"bad modulus {fields[0]!r}")
+    modulus = _int(fields[0])
     if modulus < 1:
-        raise FormatError(f"modulus must be >= 1, got {modulus}", line=lineno)
+        raise FormatError(f"modulus must be >= 1, got {modulus}")
     representation = fields[1].lower()
-    if representation not in ("periodic", "even"):
-        raise FormatError(
-            f"representation must be 'periodic' or 'even', got {fields[1]!r}",
-            line=lineno,
-        )
+    if representation not in _CLASSES:
+        raise FormatError(f"representation must be 'periodic' or 'even', got {fields[1]!r}")
     return modulus, representation
 
 
@@ -133,15 +142,14 @@ def parse_function_text(text: str) -> ResidueFunction | EvenFunction:
             entries.append((lineno, line))
     if not entries:
         raise FormatError("missing header line")
-    head_no, head = entries[0]
-    modulus, representation = _parse_header(head.split(), head_no)
-    body = entries[1:]
-
+    head_no = entries[0][0]
     items = []
-    for lineno, line in body:
+    for lineno, line in entries:
         parts = line.split()
         try:
-            if representation == "periodic":
+            if lineno == head_no:
+                modulus, representation = _parse_header(parts)
+            elif representation == "periodic":
                 if len(parts) != 1:
                     raise FormatError("periodic lines hold a single value")
                 items.append(parse_scalar(line))
@@ -150,13 +158,13 @@ def parse_function_text(text: str) -> ResidueFunction | EvenFunction:
                     raise FormatError("even lines are '<divisor> <value>'")
                 if not _INT_RE.fullmatch(parts[0]):
                     raise FormatError(f"bad divisor {parts[0]!r}")
-                items.append((int(parts[0]), parse_scalar(parts[1])))
+                items.append((_int(parts[0]), parse_scalar(parts[1])))
         except FormatError as exc:
             raise FormatError(str(exc), line=lineno) from None
     try:
         return _CLASSES[representation](modulus, items)
     except DomainError as exc:
-        line = head_no if exc.index is None else body[exc.index][0]
+        line = head_no if exc.index is None else entries[exc.index + 1][0]
         raise FormatError(str(exc), line=line) from None
 
 
@@ -178,10 +186,19 @@ def _json_scalar(v, where: str) -> Scalar:
     raise FormatError(f"field {where}: expected a number or scalar string")
 
 
+def _json_int(token: str) -> int | str:
+    # Past the int-to-text limit the token stays a string, which the
+    # field checks below then refuse under its field name.
+    try:
+        return int(token)
+    except ValueError:
+        return token
+
+
 def parse_function_json(text: str) -> ResidueFunction | EvenFunction:
     """Parse the JSON mirror of the text form."""
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}") from None
     if not isinstance(payload, dict):
@@ -221,21 +238,27 @@ def parse_function_json(text: str) -> ResidueFunction | EvenFunction:
 def load_function(path: str | Path) -> ResidueFunction | EvenFunction:
     """Read a function file; '.json' selects the JSON parser."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"not UTF-8 text at byte offset {exc.start}", line=line) from None
     if path.suffix.lower() == ".json":
         return parse_function_json(text)
     return parse_function_text(text)
 
 
-def _payload(obj) -> tuple[int, str, list]:
+def _payload(obj) -> tuple[int, str, Iterable[int], Iterable[Scalar]]:
+    """Modulus, representation, and the keys (index or divisor) with their values."""
     if isinstance(obj, ResidueFunction):
-        return obj.r, "periodic", list(obj.values)
+        return obj.r, "periodic", range(1, obj.r + 1), obj.values
     if isinstance(obj, PeriodicSpectrum):
-        return obj.r, "periodic", list(obj.coeffs)
+        return obj.r, "periodic", range(1, obj.r + 1), obj.coeffs
     if isinstance(obj, EvenFunction):
-        return obj.r, "even", list(obj.values.items())
+        return obj.r, "even", obj.values.keys(), obj.values.values()
     if isinstance(obj, EvenSpectrum):
-        return obj.r, "even", list(obj.coeffs.items())
+        return obj.r, "even", obj.coeffs.keys(), obj.coeffs.values()
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -245,36 +268,33 @@ def format_function(obj, fmt: str = "text") -> str:
     Spectra print under the representation of their index set: a
     PeriodicSpectrum as a periodic file (k = 1..r), an EvenSpectrum as
     an even file (one line per divisor). A non-finite float or complex
-    value raises FormatError naming its index or divisor, because the
-    readers would reject it.
+    value, or an integer past CPython's int-to-text limit, raises
+    FormatError naming its index or divisor, because the readers could
+    not take it back.
     """
-    r, representation, entries = _payload(obj)
-    keyed = enumerate(entries, start=1) if representation == "periodic" else entries
-    for key, v in keyed:
-        if _non_finite(v):
-            where = "index" if representation == "periodic" else "divisor"
-            raise FormatError(
-                f"cannot write non-finite value {format_scalar(v)} at {where} {key}"
-            )
+    r, representation, keys, values = _payload(obj)
+    where = "index" if representation == "periodic" else "divisor"
+    cells = [_cell(v, where, k) for k, v in zip(keys, values)]
     if fmt == "text":
-        lines = [f"{r} {representation}"]
-        if representation == "periodic":
-            lines += [format_scalar(v) for v in entries]
-        else:
-            lines += [f"{d} {format_scalar(v)}" for d, v in entries]
-        return "\n".join(lines) + "\n"
+        if representation == "even":
+            cells = [f"{d} {cell}" for d, cell in zip(keys, cells)]
+        return "\n".join([f"{r} {representation}", *cells]) + "\n"
     if fmt == "json":
-        if representation == "periodic":
-            values = [_json_value(v) for v in entries]
-        else:
-            values = [{"divisor": d, "value": _json_value(v)} for d, v in entries]
-        payload = {"modulus": r, "representation": representation, "values": values}
+        # ints and floats are native JSON; fractions and complex go as text.
+        items = [c if isinstance(v, (Fraction, complex)) else v for v, c in zip(values, cells)]
+        if representation == "even":
+            items = [{"divisor": d, "value": item} for d, item in zip(keys, items)]
+        payload = {"modulus": r, "representation": representation, "values": items}
         return json.dumps(payload, indent=2) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _json_value(v: Scalar):
-    # ints and floats are native JSON; fractions and complex go as strings.
-    if isinstance(v, (Fraction, complex)):
+def _cell(v: Scalar, where: str, key: int) -> str:
+    if _non_finite(v):
+        raise FormatError(f"cannot write non-finite value {format_scalar(v)} at {where} {key}")
+    try:
         return format_scalar(v)
-    return v
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        message = f"cannot write value at {where} {key}: over {limit} digits"
+        raise FormatError(message) from None

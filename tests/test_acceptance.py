@@ -19,13 +19,13 @@ from ramfourier import (
     cauchy_product_spectral,
     dft,
     divisors,
+    euler_phi,
     from_periodic,
     idft,
     irft,
     ramanujan_sum,
     ramanujan_sum_oracle,
     rft,
-    rft_divisor_form,
     to_periodic,
     verify_cauchy_kernel_even,
     verify_orthogonality,
@@ -87,6 +87,18 @@ def test_criterion_3_exact_roundtrip():
         assert time.perf_counter() - start < 30
 
 
+def grouped_transform(f):
+    """R(d) = phi(d)^{-1} sum_{e | r} f(e) phi(r/e) C(e, d): the defining
+    r-term sum grouped by gcd(n, r) = e, with one division per d."""
+    r, divs = f.r, divisors(f.r)
+    coeffs = {}
+    for d in divs:
+        total = sum(f.values[e] * euler_phi(r // e) * ramanujan_sum(e, d) for e in divs)
+        q = Fraction(total, euler_phi(d))
+        coeffs[d] = q.numerator if q.denominator == 1 else q
+    return coeffs
+
+
 def test_criterion_4_transform_paths_agree():
     with criterion(4, "grouped and divisor-form transforms agree exactly, r <= 500"):
         start = time.perf_counter()
@@ -94,7 +106,9 @@ def test_criterion_4_transform_paths_agree():
         for r in range(1, 501):
             for _ in range(3):
                 f = random_even(r, rng)
-                assert rft(f) == rft_divisor_form(f)
+                got, want = rft(f).coeffs, grouped_transform(f)
+                assert got == want
+                assert all(type(got[d]) is type(want[d]) for d in want)
         assert time.perf_counter() - start < 30
 
 
@@ -167,11 +181,13 @@ def test_criterion_10_performance_path(monkeypatch):
         f = EvenFunction(r, {d: rng.randint(-99, 99) for d in divisors(r)})
 
         tracemalloc.start()
-        start = time.perf_counter()
-        spectrum = rft_divisor_form(f)
-        elapsed = time.perf_counter() - start
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
+        try:
+            start = time.perf_counter()
+            spectrum = rft(f)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
 
         assert elapsed < 1.0
         # Anything proportional to r would need at least ~5.8 MB (a bare

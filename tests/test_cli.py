@@ -152,6 +152,25 @@ class TestTransform:
                 assert code == 2 and out == ""
                 assert err.startswith("error: cannot write non-finite value ")
 
+    def test_unreadable_files_exit_2(self, capsys, tmp_path):
+        # Past 4300 digits CPython refuses to convert an int from text.
+        long = "7" * 5000
+        files = {
+            "long.txt": (f"2 periodic\n1\n{long}\n".encode(), "line 3: integer of 5000"),
+            "long.json": (
+                b'{"modulus": 2, "representation": "periodic", "values": [1, %s]}'
+                % long.encode(),
+                "field values[1]: integer of 5000",
+            ),
+            "latin1.txt": (b"\xff\xfe2 periodic\n", "line 1: not UTF-8 text at byte offset 0"),
+        }
+        for name, (data, message) in files.items():
+            path = tmp_path / name
+            path.write_bytes(data)
+            for kind in ("dft", "rft"):
+                code, out, err = run(["transform", "--kind", kind, path], capsys)
+                assert (code, out) == (2, "") and err.startswith(f"error: {message}")
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(["transform", "--kind", "rft", tmp_path / "nope.txt"], capsys)
         assert code == 2 and "error" in err
@@ -225,6 +244,33 @@ class TestCauchy:
             code, out, err = run(["cauchy", big, big, "--method", "spectral"] + extra, capsys)
             assert code == 2 and out == ""
             assert err.startswith("error: ") and "non-finite value nan+nanj" in err
+
+    def test_long_integer_output_is_refused(self, capsys, tmp_path):
+        # The product of two 2500-digit values has 5000 digits, past the
+        # int-to-text limit, so the writer refuses it by divisor.
+        half = tmp_path / "half.txt"
+        half.write_text(f"1 even\n1 {'7' * 2500}\n")
+        for extra, where in (
+            ([], "divisor 1"),
+            (["--format", "json"], "divisor 1"),
+            (["--method", "naive"], "index 1"),
+        ):
+            code, out, err = run(["cauchy", half, half] + extra, capsys)
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: cannot write value at {where}: ")
+
+    def test_tolerance_must_be_finite_and_non_negative(self, capsys):
+        pair = [FIXTURES / "gcd4.txt", FIXTURES / "const4.txt"]
+        commands = (
+            ["cauchy", *pair, "--method", "spectral", "--check"],
+            ["verify", "--suite", "bridge", "--rmax", "4"],
+            ["transform", "--kind", "rft", FIXTURES / "gcd4.txt"],
+        )
+        for tol in ("nan", "inf", "-inf", "-1", "-0.5"):
+            for argv in commands:
+                code, out, err = run([*argv, f"--tolerance={tol}"], capsys)
+                assert (code, out) == (2, "")
+                assert f"--tolerance: must be finite and >= 0, got '{tol}'" in err
 
     def test_mixed_representations_expand_to_periodic(self, capsys):
         # gcd(., 4) convolved with the constant 1: every value is sum of f.

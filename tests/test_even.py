@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ramfourier.arith as arith_mod
 import ramfourier.even as even_mod
 import ramfourier.periodic as periodic_mod
 import ramfourier.ramanujan as ramanujan_mod
@@ -180,10 +181,13 @@ class TestRft:
         for r in (12, 30):
             f = EvenFunction(r, {d: rng.randint(-20, 20) for d in divisors(r)})
             assert all(isinstance(v, int) for v in rft(f).coeffs.values())
-            assert all(isinstance(v, int) for v in rft_divisor_form(f).coeffs.values())
+            assert rft(f) == rft_naive(f)
 
 
 class TestRftDivisorForm:
+    def test_is_the_rft_alias(self):
+        assert rft_divisor_form is rft
+
     def test_gcd_example_term_by_term(self):
         # d = 1: f(4) C(4,1) + f(2) C(4,2) + f(1) C(4,4) = 4 + 2 + 2 = 8.
         f = GCD4
@@ -201,7 +205,10 @@ class TestRftDivisorForm:
         rng = random.Random(6)
         for r in (1, 2, 8, 36, 100, 360):
             f = random_even(r, rng)
-            assert rft_divisor_form(f) == rft(f)
+            got = rft_divisor_form(f).coeffs
+            want = {d: canonical(v) for d, v in oracle_forward(r, f.values).items()}
+            assert got == want
+            assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
 
 
 class TestIrft:
@@ -229,7 +236,7 @@ class TestIrft:
     def test_exact_roundtrip_property(self, r, data):
         f = EvenFunction(r, {d: data.draw(rationals) for d in divisors(r)})
         assert irft(rft(f)) == f
-        assert rft_divisor_form(f) == rft(f)
+        assert rft(f).coeffs == oracle_forward(r, f.values)
 
 
 ORACLE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 97)
@@ -282,23 +289,21 @@ class TestKroneckerCore:
     def test_matches_tau_squared_oracle(self, kind, r, data):
         divs = divisors(r)
         values = {d: data.draw(SCALARS[kind]) for d in divs}
-        # The Kronecker and lattice routes share only _layout, _scaled and
-        # _normalise; the oracle reads divisors and ramanujan_sum alone.
-        f = EvenFunction(r, values)
-        forwards = (rft_divisor_form(f).coeffs, rft(f).coeffs)
+        # rft and irft share the Kronecker passes; the oracle reads
+        # divisors and ramanujan_sum alone.
+        forward = rft(EvenFunction(r, values)).coeffs
         inverse = irft(EvenSpectrum(r, values)).values
         want_forward = oracle_forward(r, values)
         want_inverse = oracle_inverse(r, values)
         if kind == "complex":
             scale = 1e-12 * r * len(divs) * (1 + max(abs(v) for v in values.values()))
             for d in divs:
-                for forward in forwards:
-                    assert abs(forward[d] - want_forward[d]) <= scale
+                assert abs(forward[d] - want_forward[d]) <= scale
                 assert abs(inverse[d] - want_inverse[d] / r) <= scale / r
             return
         for d in divs:
             for got, want in (
-                *((forward[d], canonical(Fraction(want_forward[d]))) for forward in forwards),
+                (forward[d], canonical(Fraction(want_forward[d]))),
                 (inverse[d], canonical(Fraction(want_inverse[d], r))),
             ):
                 assert got == want
@@ -318,28 +323,34 @@ class TestKroneckerCore:
         assert len(f.values) == 1920
 
         tracemalloc.start()
-        with monkeypatch.context() as patch:
-            # The lattice route reads no Kronecker pass either.
-            patch.setattr(even_mod, "_kronecker", forbidden)
+        try:
             spectrum = rft(f)
-        assert rft_divisor_form(f) == spectrum
-        back = irft(spectrum)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
+            back = irft(spectrum)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
 
         assert back == f
         assert all(type(v) is int for v in back.values.values())
         # A tau x tau kernel table alone would hold 3.7 million entries.
         assert peak < 4_000_000
+        # 16 coefficients, the ends and 8 divisors between, against the
+        # divisor sum; this module's ramanujan_sum is not the patched name.
+        divs = divisors(r)
+        for d in divs[:4] + divs[-4:] + tuple(rng.sample(divs[4:-4], 8)):
+            want = sum(f.values[r // e] * ramanujan_sum(r // d, e) for e in divs)
+            assert spectrum.coeffs[d] == want
 
     def test_caches_are_bounded(self):
         caches = []
-        for module in (periodic_mod, even_mod, ramanujan_mod):
+        for module in (arith_mod, periodic_mod, even_mod, ramanujan_mod):
             caches += [
                 obj
                 for obj in vars(module).values()
                 if hasattr(obj, "cache_info") and obj.__module__ == module.__name__
             ]
+        assert {arith_mod.factorize, arith_mod.divisors} <= set(caches)
+        assert {arith_mod.mobius, arith_mod.euler_phi} <= set(caches)
         assert periodic_mod._roots in caches
         assert even_mod._layout in caches and ramanujan_mod._coprime_residues in caches
         for cache in caches:

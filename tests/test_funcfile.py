@@ -26,6 +26,9 @@ from ramfourier import (
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+# CPython refuses int <-> str conversions past 4300 digits by default.
+LONG = "7" * 5000
+
 
 class TestScalars:
     def test_parse_kinds(self):
@@ -132,6 +135,9 @@ TEXT_ERRORS = {
     "modulus spelling": ("1_2 even\n", 1, "bad modulus '1_2'"),
     "divisor spelling": ("4 even\n1 1\n2 2\n\uff14 4\n", 4, "bad divisor '\uff14'"),
     "value spelling": ("2 periodic\n1\n1_0\n", 3, "bad value '1_0'"),
+    "long value": (f"2 periodic\n1\n{LONG}\n", 3, "integer of 5000 digits exceeds"),
+    "long divisor": (f"1 even\n{LONG} 1\n", 2, "integer of 5000 digits exceeds"),
+    "long modulus": (f"{LONG} even\n1 1\n", 1, "integer of 5000 digits exceeds"),
 }
 
 
@@ -158,6 +164,17 @@ JSON_ERRORS = {
     "missing": (_json("even", _pairs(4, 1)), "values", "missing divisors [2]"),
     "wrong count": (_json("periodic", [1, 2, 3]), "values", "expected 4 values, found 3"),
     "value spelling": (_json("periodic", [1, 2, "1_0", 4]), "values[2]", "bad value '1_0'"),
+    # json.dumps cannot write LONG either, so it is spliced into the text.
+    "long value": (
+        _json("periodic", [1, 2, "LONG", 4]).replace('"LONG"', LONG),
+        "values[2]",
+        "integer of 5000 digits exceeds",
+    ),
+    "long divisor": (
+        _json("even", [{"divisor": "LONG", "value": 1}]).replace('"LONG"', LONG),
+        "values[0].divisor",
+        "expected an integer",
+    ),
 }
 
 
@@ -203,6 +220,16 @@ class TestJsonParsing:
                 )
 
 
+def test_non_utf8_file_names_its_line(tmp_path):
+    for name in ("latin1.txt", "latin1.json"):
+        path = tmp_path / name
+        path.write_bytes(b"2 periodic\n1\n\xff\xfe\n")
+        with pytest.raises(FormatError) as info:
+            load_function(path)
+        assert info.value.line == 3
+        assert str(info.value) == "line 3: not UTF-8 text at byte offset 13"
+
+
 class TestFormatClosure:
     def test_text_roundtrip(self):
         objects = [
@@ -226,6 +253,19 @@ class TestFormatClosure:
         assert periodic.startswith("2 periodic\n")
         even = format_function(EvenSpectrum(4, {1: 8, 2: 4, 4: 2}))
         assert even == "4 even\n1 8\n2 4\n4 2\n"
+
+    def test_long_integers_are_refused_at_their_position(self):
+        huge = 10**5000
+        cases = [
+            (ResidueFunction(3, (1, huge, 2)), "at index 2"),
+            (EvenFunction(4, {1: 1, 2: Fraction(1, huge), 4: 4}), "at divisor 2"),
+            (EvenSpectrum(4, {1: huge, 2: 4, 4: 2}), "at divisor 1"),
+        ]
+        for obj, where in cases:
+            for fmt in ("text", "json"):
+                with pytest.raises(FormatError) as info:
+                    format_function(obj, fmt)
+                assert str(info.value).startswith(f"cannot write value {where}: ")
 
     def test_fixture_files_are_canonical(self):
         for name in ("gcd4.txt", "const4.txt", "rational6.txt"):
