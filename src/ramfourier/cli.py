@@ -23,6 +23,7 @@ from fractions import Fraction
 from .arith import divisors
 from .errors import CapacityError, DomainError, FormatError
 from .even import (
+    BRIDGE_TOL,
     CAUCHY_KERNEL_CAP,
     EvenFunction,
     EvenSpectrum,
@@ -51,7 +52,6 @@ from .periodic import (
 from .ramanujan import ramanujan_sum
 
 _SUITES = ("orthogonality", "symmetry", "bridge", "cauchy-kernel")
-BRIDGE_TOL = 1e-8
 
 
 def _format_table(divs, rows) -> str:

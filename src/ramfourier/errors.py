@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ["DomainError", "CapacityError", "NotEvenError", "FormatError"]
+
 
 class DomainError(ValueError):
     """An argument lies outside an operation's mathematical domain.

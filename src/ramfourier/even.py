@@ -29,7 +29,6 @@ bare booleans, so a counterexample can be printed if one ever fails.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -39,11 +38,13 @@ from .arith import divisors, euler_phi, factorize
 from .errors import CapacityError, DomainError, NotEvenError
 from .periodic import (
     _EXACT_TYPES,
+    EVENNESS_TOL,
     ResidueFunction,
     Scalar,
     _conj,
     _non_finite,
     _same_modulus,
+    _Value,
     dft,
     even_witness,
 )
@@ -72,6 +73,9 @@ __all__ = [
 
 # The brute-force kernel verifier is O(tau(r)^2 * r^2); keep it desk-sized.
 CAUCHY_KERNEL_CAP = 60
+
+# The default tolerance of `verify_rft_dft_bridge`; see its docstring.
+BRIDGE_TOL = 1e-8
 
 # Per-modulus caches hold O(tau(r)) data each; the bound keeps a
 # long-lived process from keeping every modulus it has ever seen.
@@ -191,19 +195,19 @@ def _divisor_values(r: int, pairs) -> _ReadOnlyDict:
     raise DomainError(f"missing divisors {sorted(allowed - seen)}")
 
 
-@dataclass(frozen=True)
-class EvenFunction:
+class EvenFunction(_Value):
     """A function even mod r, stored by its values on the divisors of r.
 
     values (a mapping, or (divisor, value) pairs) is kept as a read-only
     dict in increasing divisor order; the object is immutable and hashable.
     """
 
+    __slots__ = ("r", "values")
     r: int
     values: dict[int, Scalar]
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", _divisor_values(self.r, self.values))
+    def __init__(self, r: int, values):
+        _Value.__init__(self, r, _divisor_values(r, values))
 
     @classmethod
     def from_callable(cls, r: int, fn: Callable[[int], Scalar]) -> "EvenFunction":
@@ -215,16 +219,16 @@ class EvenFunction:
         return self.values[gcd(n, self.r)]
 
 
-@dataclass(frozen=True)
-class EvenSpectrum:
+class EvenSpectrum(_Value):
     """Transform coefficients of an even function, one per divisor of r,
     kept as `EvenFunction.values` is."""
 
+    __slots__ = ("r", "coeffs")
     r: int
     coeffs: dict[int, Scalar]
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _divisor_values(self.r, self.coeffs))
+    def __init__(self, r: int, coeffs):
+        _Value.__init__(self, r, _divisor_values(r, coeffs))
 
 
 def ramanujan_basis(d: int, r: int) -> EvenFunction:
@@ -235,7 +239,7 @@ def ramanujan_basis(d: int, r: int) -> EvenFunction:
     return EvenFunction(r, {e: ramanujan_sum(e, d) for e in divs})
 
 
-def from_periodic(f: ResidueFunction, tol: float = 1e-12) -> EvenFunction:
+def from_periodic(f: ResidueFunction, tol: float = EVENNESS_TOL) -> EvenFunction:
     """Restrict an even residue function to its divisor values.
 
     Raises NotEvenError, naming a witness residue, when f is not even.
@@ -352,23 +356,29 @@ def cauchy_product_even(f: EvenFunction, g: EvenFunction) -> EvenFunction:
     return EvenFunction(r, {e: _normalise(t, den) for e, t in zip(order, totals)})
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(_Value):
     """One verified instance of an identity: subject, both sides, verdict."""
 
+    __slots__ = ("subject", "left", "right", "passed")
     subject: tuple
     left: object
     right: object
     passed: bool
 
+    def __init__(self, subject: tuple, left: object, right: object, passed: bool):
+        _Value.__init__(self, subject, left, right, passed)
 
-@dataclass(frozen=True)
-class VerificationReport:
+
+class VerificationReport(_Value):
     """Outcome of sweeping an identity over all its instances at one r."""
 
+    __slots__ = ("name", "r", "checks")
     name: str
     r: int
     checks: tuple[IdentityCheck, ...]
+
+    def __init__(self, name: str, r: int, checks: tuple[IdentityCheck, ...]):
+        _Value.__init__(self, name, r, checks)
 
     @property
     def passed(self) -> bool:
@@ -417,7 +427,7 @@ def verify_symmetry(r: int) -> VerificationReport:
     return VerificationReport("symmetry", r, tuple(checks))
 
 
-def verify_rft_dft_bridge(f: EvenFunction, tol: float = 1e-8) -> VerificationReport:
+def verify_rft_dft_bridge(f: EvenFunction, tol: float = BRIDGE_TOL) -> VerificationReport:
     """Tie the divisor-indexed transform to the DFT of the expansion.
 
     Checks, within tol: the DFT coefficient at k equals the divisor sum

@@ -18,7 +18,8 @@ where even values are {"divisor": d, "value": v} objects and each value
 is a number or a scalar string.
 
 The readers check syntax; the value objects check that the values fit
-the modulus. Every error names its line (text) or field (JSON).
+the modulus. Every error names its line (text) or field (JSON), and
+quotes a long token by its first characters and its length.
 
 Writers emit canonical scalars: fractions reduced with positive
 denominator, integers without "/1", floats as their shortest round-trip
@@ -53,6 +54,9 @@ __all__ = [
 ]
 
 _INT_RE = re.compile(r"[+-]?[0-9]+")
+
+# Messages quote at most this many characters of an offending token.
+_QUOTE_MAX = 40
 
 _CLASSES = {"periodic": ResidueFunction, "even": EvenFunction}
 
@@ -89,6 +93,13 @@ def _int(token: str) -> int:
         raise FormatError(message) from None
 
 
+def _quote(token: str) -> str:
+    """token quoted for a message; a long one as a prefix and its length."""
+    if len(token) <= _QUOTE_MAX:
+        return repr(token)
+    return f"{token[:_QUOTE_MAX]!r}... ({len(token)} characters)"
+
+
 def parse_scalar(token: str) -> Scalar:
     """Parse one scalar token: int, fraction, float, or complex."""
     token = token.strip()
@@ -96,26 +107,29 @@ def parse_scalar(token: str) -> Scalar:
         raise FormatError("empty value")
     # int(), float(), Fraction() and complex() also take '_' and non-ASCII digits.
     if "_" in token or not token.isascii():
-        raise FormatError(f"bad value {token!r}: numbers are ASCII without '_'")
+        raise FormatError(f"bad value {_quote(token)}: numbers are ASCII without '_'")
     if _INT_RE.fullmatch(token):
         return _int(token)
     if "/" in token:
-        try:
-            return Fraction(token)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(f"bad fraction {token!r}: {exc}") from None
+        num, _, den = token.partition("/")
+        if not (_INT_RE.fullmatch(num) and den.isdigit()):
+            raise FormatError(f"bad fraction {_quote(token)}")
+        numerator, denominator = _int(num), _int(den)
+        if not denominator:
+            raise FormatError(f"bad fraction {_quote(token)}: zero denominator")
+        return Fraction(numerator, denominator)
     if "j" in token or "J" in token:
         try:
             value = complex(token)
         except ValueError:
-            raise FormatError(f"bad complex value {token!r}") from None
+            raise FormatError(f"bad complex value {_quote(token)}") from None
     else:
         try:
             value = float(token)
         except ValueError:
-            raise FormatError(f"bad value {token!r}") from None
+            raise FormatError(f"bad value {_quote(token)}") from None
     if not cmath.isfinite(value):
-        raise FormatError(f"non-finite value {token!r}")
+        raise FormatError(f"non-finite value {_quote(token)}")
     return value
 
 
@@ -123,13 +137,13 @@ def _parse_header(fields: list[str]) -> tuple[int, str]:
     if len(fields) != 2:
         raise FormatError("header must be '<modulus> <periodic|even>'")
     if not _INT_RE.fullmatch(fields[0]):
-        raise FormatError(f"bad modulus {fields[0]!r}")
+        raise FormatError(f"bad modulus {_quote(fields[0])}")
     modulus = _int(fields[0])
     if modulus < 1:
         raise FormatError(f"modulus must be >= 1, got {modulus}")
     representation = fields[1].lower()
     if representation not in _CLASSES:
-        raise FormatError(f"representation must be 'periodic' or 'even', got {fields[1]!r}")
+        raise FormatError(f"representation must be 'periodic' or 'even', got {_quote(fields[1])}")
     return modulus, representation
 
 
@@ -157,7 +171,7 @@ def parse_function_text(text: str) -> ResidueFunction | EvenFunction:
                 if len(parts) != 2:
                     raise FormatError("even lines are '<divisor> <value>'")
                 if not _INT_RE.fullmatch(parts[0]):
-                    raise FormatError(f"bad divisor {parts[0]!r}")
+                    raise FormatError(f"bad divisor {_quote(parts[0])}")
                 items.append((_int(parts[0]), parse_scalar(parts[1])))
         except FormatError as exc:
             raise FormatError(str(exc), line=lineno) from None

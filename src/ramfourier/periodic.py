@@ -10,13 +10,13 @@ a power-of-two length. Twiddles are read by stride from the `_roots`
 table of the transform's length, and the chirp is computed at the
 reduced angle j^2 mod 2p, so no angle is taken beyond one turn.
 Exact values (int or Fraction) survive every operation here except the
-DFT pair and the spectral Cauchy route, which are inherently floating.
+DFT pair and the spectral Cauchy route, which are inherently floating;
+those refuse an exact value outside the float range with DomainError.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
@@ -171,15 +171,58 @@ def _residue_values(r: int, values) -> tuple:
     return values
 
 
-@dataclass(frozen=True)
-class ResidueFunction:
+_setattr = object.__setattr__  # the one way past _Value.__setattr__
+
+
+class _Value:
+    """An immutable record of the fields a subclass names in __slots__.
+
+    __init__ sets them once, in slot order; assignment or deletion raises
+    AttributeError naming the field. Equality (same type only), hashing,
+    repr, pickling and copying all read the tuple of field values.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            _setattr(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # Rebuilt through the constructor, which checks the fields again.
+        return type(self), self._fields()
+
+
+class ResidueFunction(_Value):
     """A function on residues mod r, stored as its values at n = 1..r."""
 
+    __slots__ = ("r", "values")
     r: int
     values: tuple[Scalar, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", _residue_values(self.r, self.values))
+    def __init__(self, r: int, values):
+        _Value.__init__(self, r, _residue_values(r, values))
 
     @classmethod
     def from_callable(cls, r: int, fn: Callable[[int], Scalar]) -> "ResidueFunction":
@@ -196,19 +239,37 @@ class ResidueFunction:
         return all(isinstance(v, _EXACT_TYPES) for v in self.values)
 
 
-@dataclass(frozen=True)
-class PeriodicSpectrum:
+class PeriodicSpectrum(_Value):
     """Transform coefficients at k = 1..r, index r standing in for k = 0."""
 
+    __slots__ = ("r", "coeffs")
     r: int
     coeffs: tuple[Scalar, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _residue_values(self.r, self.coeffs))
+    def __init__(self, r: int, coeffs):
+        _Value.__init__(self, r, _residue_values(r, coeffs))
 
     def __call__(self, k: int) -> Scalar:
         """Coefficient at any integer k; coefficients are periodic in k."""
         return self.coeffs[(k - 1) % self.r]
+
+
+def _complex_values(values: tuple, where: str) -> list[complex]:
+    """The entries at 1..r as complex numbers, in the order r, 1, ..., r - 1.
+
+    An int or Fraction outside the float range raises DomainError naming
+    the first such position, before any transform work.
+    """
+    try:
+        return [complex(values[-1]), *map(complex, values[:-1])]
+    except OverflowError:
+        for i, v in enumerate(values):
+            try:
+                complex(v)
+            except OverflowError:
+                message = f"{where} {i + 1} is outside the floating-point range"
+                raise DomainError(message, index=i) from None
+        raise
 
 
 def dft(f: ResidueFunction) -> PeriodicSpectrum:
@@ -224,9 +285,8 @@ def dft(f: ResidueFunction) -> PeriodicSpectrum:
     2048, and 40 inputs at each of 11 lengths with Bluestein stages; the
     worst was at the Bluestein length 17.
     """
-    values = f.values
     # F(k) = G(-k) for the transform G of the residues 0..r-1.
-    g = _transform([complex(values[-1]), *map(complex, values[:-1])])
+    g = _transform(_complex_values(f.values, "value at residue"))
     return PeriodicSpectrum(f.r, tuple(reversed(g)))
 
 
@@ -236,8 +296,8 @@ def idft(spectrum: PeriodicSpectrum) -> ResidueFunction:
     The same core as `dft`, which computes this sum directly, then one
     division by r; so ||f' - f||_2 <= 4 eps log2(r) ||F||_2 / sqrt(r).
     """
-    r, coeffs = spectrum.r, spectrum.coeffs
-    g = _transform([complex(coeffs[-1]), *map(complex, coeffs[:-1])])
+    r = spectrum.r
+    g = _transform(_complex_values(spectrum.coeffs, "coefficient at k ="))
     g.append(g[0])
     return ResidueFunction(r, tuple(v / r for v in g[1:]))
 

@@ -9,6 +9,12 @@ from ramfourier.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+# Exact values past the float range, which the floating routes refuse
+# with exit 2 and a message under ERR_MAX bytes.
+HUGE_PERIODIC = f"2 periodic\n1\n{'7' * 4000}\n"
+HUGE_EVEN = f"1 even\n1 {'7' * 2500}\n"
+ERR_MAX = 300
+
 TABLE4 = (
     "C(r/e,d)  d=1  d=2  d=4\n"
     "e=1         1    1    2\n"
@@ -157,6 +163,10 @@ class TestTransform:
         long = "7" * 5000
         files = {
             "long.txt": (f"2 periodic\n1\n{long}\n".encode(), "line 3: integer of 5000"),
+            "long_fraction.txt": (
+                f"2 periodic\n1\n1/{long}\n".encode(),
+                "line 3: integer of 5000 digits exceeds the 4300-digit limit\n",
+            ),
             "long.json": (
                 b'{"modulus": 2, "representation": "periodic", "values": [1, %s]}'
                 % long.encode(),
@@ -170,6 +180,20 @@ class TestTransform:
             for kind in ("dft", "rft"):
                 code, out, err = run(["transform", "--kind", kind, path], capsys)
                 assert (code, out) == (2, "") and err.startswith(f"error: {message}")
+                assert len(err.encode()) < ERR_MAX
+
+    def test_values_past_the_float_range_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "f.txt"
+        for text, direction, message in (
+            (HUGE_PERIODIC, "forward", "value at residue 2 is outside the floating-point range"),
+            (HUGE_PERIODIC, "inverse", "coefficient at k = 2 is outside the floating-point range"),
+            (HUGE_EVEN, "forward", "value at residue 1 is outside the floating-point range"),
+        ):
+            path.write_text(text)
+            argv = ["transform", "--kind", "dft", "--direction", direction, path]
+            code, out, err = run(argv, capsys)
+            assert (code, out) == (2, "") and err.startswith(f"error: {message}")
+            assert len(err.encode()) < ERR_MAX
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(["transform", "--kind", "rft", tmp_path / "nope.txt"], capsys)
@@ -258,6 +282,20 @@ class TestCauchy:
             code, out, err = run(["cauchy", half, half] + extra, capsys)
             assert code == 2 and out == ""
             assert err.startswith(f"error: cannot write value at {where}: ")
+
+    def test_values_past_the_float_range_exit_2(self, capsys, tmp_path):
+        even, periodic = tmp_path / "even.txt", tmp_path / "periodic.txt"
+        even.write_text(HUGE_EVEN)
+        periodic.write_text(HUGE_PERIODIC)
+        for path, extra, residue in (
+            (even, [], 1),
+            (periodic, [], 2),
+            (periodic, ["--check"], 2),
+        ):
+            argv = ["cauchy", path, path, "--method", "spectral", *extra]
+            code, out, err = run(argv, capsys)
+            assert (code, out) == (2, "")
+            assert err == f"error: value at residue {residue} is outside the floating-point range\n"
 
     def test_tolerance_must_be_finite_and_non_negative(self, capsys):
         pair = [FIXTURES / "gcd4.txt", FIXTURES / "const4.txt"]

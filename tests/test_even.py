@@ -1,7 +1,6 @@
 """Tests for divisor-indexed even functions and their transform."""
 
 import copy
-import dataclasses
 import pickle
 import random
 import tracemalloc
@@ -569,6 +568,24 @@ VALUE_OBJECTS = {
     "VerificationReport": (lambda: verify_symmetry(4), "checks"),
 }
 
+VALUE_FIELDS = {
+    "EvenFunction": ("r", "values"),
+    "EvenSpectrum": ("r", "coeffs"),
+    "ResidueFunction": ("r", "values"),
+    "PeriodicSpectrum": ("r", "coeffs"),
+    "IdentityCheck": ("subject", "left", "right", "passed"),
+    "VerificationReport": ("name", "r", "checks"),
+}
+
+# The dataclass form of repr, which the value classes keep.
+VALUE_REPRS = {
+    "EvenFunction": "EvenFunction(r=4, values={1: Fraction(1, 2), 2: 2.5, 4: 4})",
+    "EvenSpectrum": "EvenSpectrum(r=4, coeffs={1: 8, 2: 4, 4: (2+1j)})",
+    "ResidueFunction": "ResidueFunction(r=3, values=(1, Fraction(1, 2), 0.5))",
+    "PeriodicSpectrum": "PeriodicSpectrum(r=2, coeffs=((1+0j), 2j))",
+    "IdentityCheck": "IdentityCheck(subject=(1, 2), left=3, right=3, passed=True)",
+}
+
 
 @pytest.mark.parametrize("name", sorted(VALUE_OBJECTS))
 class TestValueObjects:
@@ -577,12 +594,27 @@ class TestValueObjects:
         assert make() is not make() and make() == make()
         assert hash(make()) == hash(make())
         assert len({make(), make()}) == 1
+        obj = make()
+        assert hash(obj) == hash(tuple(getattr(obj, f) for f in VALUE_FIELDS[name]))
+
+    def test_keyword_construction_and_repr(self, name):
+        make, _ = VALUE_OBJECTS[name]
+        obj = make()
+        fields = {f: getattr(obj, f) for f in VALUE_FIELDS[name]}
+        assert type(obj)(**fields) == obj
+        shown = ", ".join(f"{f}={v!r}" for f, v in fields.items())
+        assert repr(obj) == f"{name}({shown})"
+        if name in VALUE_REPRS:
+            assert repr(obj) == VALUE_REPRS[name]
 
     def test_mutation_raises(self, name):
         make, field = VALUE_OBJECTS[name]
         obj = make()
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(obj, field, None)
+        for f in VALUE_FIELDS[name]:
+            with pytest.raises(AttributeError, match=f"field '{f}'"):
+                setattr(obj, f, None)
+            with pytest.raises(AttributeError, match=f"field '{f}'"):
+                delattr(obj, f)
         data = getattr(obj, field)
         key = next(iter(data)) if isinstance(data, dict) else 0
         with pytest.raises(TypeError):
@@ -595,3 +627,8 @@ class TestValueObjects:
         for back in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj), copy.copy(obj)):
             assert back == obj and hash(back) == hash(obj)
             assert type(getattr(back, field)) is type(getattr(obj, field))
+
+
+def test_equality_is_same_type_only():
+    assert ResidueFunction(2, (1, 2)) != PeriodicSpectrum(2, (1, 2))
+    assert EvenFunction(1, {1: 5}) != EvenSpectrum(1, {1: 5})

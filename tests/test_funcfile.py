@@ -29,6 +29,10 @@ FIXTURES = Path(__file__).parent / "fixtures"
 # CPython refuses int <-> str conversions past 4300 digits by default.
 LONG = "7" * 5000
 
+# Reader messages quote a long token by a prefix and its length, so each
+# error case below stays under this many characters.
+MESSAGE_MAX = 120
+
 
 class TestScalars:
     def test_parse_kinds(self):
@@ -90,6 +94,13 @@ class TestScalars:
         with pytest.raises(FormatError, match="bad value"):
             parse_scalar(token)
 
+    def test_long_tokens_are_quoted_by_prefix_and_length(self):
+        with pytest.raises(FormatError) as info:
+            parse_scalar("x" * 100)
+        assert str(info.value) == f"bad value {'x' * 40!r}... (100 characters)"
+        with pytest.raises(FormatError, match=r"^bad fraction '1/2/3'$"):
+            parse_scalar("1/2/3")
+
     def test_non_finite_tokens(self):
         for token in ("nan", "NaN", "inf", "-inf", "Infinity", "1e400", "-1e400",
                       "nan+1j", "1+infj", "1e400+1j", "1-1e400j"):
@@ -138,6 +149,10 @@ TEXT_ERRORS = {
     "long value": (f"2 periodic\n1\n{LONG}\n", 3, "integer of 5000 digits exceeds"),
     "long divisor": (f"1 even\n{LONG} 1\n", 2, "integer of 5000 digits exceeds"),
     "long modulus": (f"{LONG} even\n1 1\n", 1, "integer of 5000 digits exceeds"),
+    "long fraction": (f"2 periodic\n1\n1/{LONG}\n", 3, "integer of 5000 digits exceeds the"),
+    "long garbage": (f"2 periodic\n1\nx{LONG}\n", 3, "bad value 'x777"),
+    "long non-finite": (f"2 periodic\n1\n{LONG}.5\n", 3, "non-finite value '777"),
+    "long bad modulus": (f"x{LONG} even\n1 1\n", 1, "bad modulus 'x777"),
 }
 
 
@@ -148,6 +163,7 @@ def test_text_errors_name_their_line(case):
         parse_function_text(text)
     assert info.value.line == line
     assert str(info.value).startswith(f"line {line}: {message}")
+    assert len(str(info.value)) < MESSAGE_MAX
 
 
 def _json(representation, values):
@@ -175,6 +191,9 @@ JSON_ERRORS = {
         "values[0].divisor",
         "expected an integer",
     ),
+    "long fraction": (_json("periodic", [1, f"1/{LONG}", 3, 4]), "values[1]", "integer of 5000"),
+    "long garbage": (_json("periodic", [1, 2, 3, f"x{LONG}"]), "values[3]", "bad value 'x777"),
+    "long non-finite": (_json("periodic", [f"{LONG}.5", 2, 3, 4]), "values[0]", "non-finite"),
 }
 
 
@@ -184,6 +203,7 @@ def test_json_errors_name_their_field(case):
     with pytest.raises(FormatError) as info:
         parse_function_json(text)
     assert str(info.value).startswith(f"field {field}: {message}")
+    assert len(str(info.value)) < MESSAGE_MAX
 
 
 class TestJsonParsing:

@@ -266,6 +266,38 @@ class TestCauchyProduct:
             cauchy_product(ResidueFunction(2, (1, 1)), ResidueFunction(3, (1, 1, 1)))
 
 
+HUGE = 10**400  # past the float range, so complex() overflows on it
+
+
+class TestFloatRange:
+    """The floating routes refuse an exact value outside the float range
+    with DomainError naming its position, before any transform work."""
+
+    def test_dft_names_the_first_residue(self):
+        with pytest.raises(DomainError, match="value at residue 2 ") as info:
+            dft(ResidueFunction(3, (1, HUGE, -HUGE)))
+        assert info.value.index == 1
+        # Residue r is converted first, yet residue 1 is the one named.
+        with pytest.raises(DomainError, match="value at residue 1 ") as info:
+            dft(ResidueFunction(2, (Fraction(HUGE, 3), HUGE)))
+        assert info.value.index == 0
+
+    def test_idft_names_k(self):
+        with pytest.raises(DomainError, match="coefficient at k = 3 ") as info:
+            idft(PeriodicSpectrum(3, (1, 2j, -HUGE)))
+        assert info.value.index == 2
+
+    def test_spectral_cauchy_product(self):
+        f, g = ResidueFunction(2, (1, 2)), ResidueFunction(2, (1, HUGE))
+        for args in ((f, g), (g, f)):
+            with pytest.raises(DomainError, match="value at residue 2 "):
+                cauchy_product_spectral(*args)
+
+    def test_a_huge_fraction_near_one_converts(self):
+        spectrum = dft(ResidueFunction(1, (Fraction(HUGE + 1, HUGE),)))
+        assert spectrum.coeffs == (1 + 0j,)
+
+
 class TestCauchyProductSpectral:
     def test_agrees_with_naive(self):
         cases = [
