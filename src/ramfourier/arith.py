@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, _int_text
 
 __all__ = [
     "FACTORIZE_CAP",
@@ -54,9 +54,9 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     when n == 1.
     """
     if n < 1:
-        raise DomainError(f"factorize is defined for n >= 1, got {n}")
+        raise DomainError(f"factorize is defined for n >= 1, got {_int_text(n)}")
     if n > FACTORIZE_CAP:
-        raise CapacityError(f"factorize is capped at n <= 2**50, got {n}")
+        raise CapacityError(f"factorize is capped at n <= 2**50, got {_int_text(n)}")
     factors = []
     m = n
     for p in (2, 3):
@@ -89,7 +89,7 @@ def divisors(r: int) -> tuple[int, ...]:
     factorize(r).
     """
     if r < 1:
-        raise DomainError(f"divisors are defined for r >= 1, got {r}")
+        raise DomainError(f"divisors are defined for r >= 1, got {_int_text(r)}")
     divs = [1]
     for p, e in factorize(r):
         powers = [p**i for i in range(1, e + 1)]
@@ -101,7 +101,7 @@ def divisors(r: int) -> tuple[int, ...]:
 def mobius(n: int) -> int:
     """Mobius function: 0 on non-squarefree n, else (-1)^(number of primes)."""
     if n < 1:
-        raise DomainError(f"mobius is defined for n >= 1, got {n}")
+        raise DomainError(f"mobius is defined for n >= 1, got {_int_text(n)}")
     factors = factorize(n)
     if any(e > 1 for _, e in factors):
         return 0
@@ -112,7 +112,7 @@ def mobius(n: int) -> int:
 def euler_phi(n: int) -> int:
     """Euler totient, computed from the factorization."""
     if n < 1:
-        raise DomainError(f"euler_phi is defined for n >= 1, got {n}")
+        raise DomainError(f"euler_phi is defined for n >= 1, got {_int_text(n)}")
     result = n
     for p, _ in factorize(n):
         result -= result // p

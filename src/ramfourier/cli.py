@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from .arith import divisors
-from .errors import CapacityError, DomainError, FormatError
+from .errors import CapacityError, DomainError, FormatError, _int_text
 from .even import (
     BRIDGE_TOL,
     CAUCHY_KERNEL_CAP,
@@ -50,8 +50,6 @@ from .periodic import (
     idft,
 )
 from .ramanujan import ramanujan_sum
-
-_SUITES = ("orthogonality", "symmetry", "bridge", "cauchy-kernel")
 
 
 def _format_table(divs, rows) -> str:
@@ -173,68 +171,54 @@ def _random_even(r: int, rng: random.Random) -> EvenFunction:
     )
 
 
+# Each suite's report at one modulus r. The bridge suite draws its input
+# from rng and compares within tol; the others are exact.
+_SUITES = {
+    "orthogonality": lambda r, rng, tol: verify_orthogonality(r),
+    "symmetry": lambda r, rng, tol: verify_symmetry(r),
+    "bridge": lambda r, rng, tol: verify_rft_dft_bridge(_random_even(r, rng), tol),
+    "cauchy-kernel": lambda r, rng, tol: verify_cauchy_kernel_even(r),
+}
+
+
 def cmd_verify(args) -> int:
     if args.rmax < 1:
-        raise DomainError(f"--rmax must be >= 1, got {args.rmax}")
+        raise DomainError(f"--rmax must be >= 1, got {_int_text(args.rmax)}")
     suites = list(_SUITES) if args.suite == "all" else [args.suite]
     if "cauchy-kernel" in suites and args.rmax > CAUCHY_KERNEL_CAP:
         raise CapacityError(
             f"the cauchy-kernel suite is capped at r <= {CAUCHY_KERNEL_CAP}, "
-            f"got --rmax {args.rmax}; lower --rmax or pick another --suite"
+            f"got --rmax {_int_text(args.rmax)}; lower --rmax or pick another --suite"
         )
     rng = random.Random(args.seed)
     tol = args.tolerance if args.tolerance is not None else BRIDGE_TOL
-
-    results = []
-    for suite in suites:
-        for r in range(1, args.rmax + 1):
-            if suite == "orthogonality":
-                report = verify_orthogonality(r)
-            elif suite == "symmetry":
-                report = verify_symmetry(r)
-            elif suite == "bridge":
-                report = verify_rft_dft_bridge(_random_even(r, rng), tol)
-            else:
-                report = verify_cauchy_kernel_even(r)
-            results.append((suite, r, report))
-    all_passed = all(report.passed for _, _, report in results)
+    reports = [_SUITES[s](r, rng, tol) for s in suites for r in range(1, args.rmax + 1)]
+    failed = [report for report in reports if not report.passed]
 
     if args.format == "json":
         items = []
-        for suite, r, report in results:
-            item = {"suite": suite, "r": r, "passed": report.passed}
-            failure = report.first_failure()
-            if failure is not None:
-                item["counterexample"] = {
-                    "subject": list(failure.subject),
-                    "left": format_scalar(failure.left),
-                    "right": format_scalar(failure.right),
-                }
+        for report in reports:
+            item = {"suite": report.name, "r": report.r, "passed": report.passed}
+            c = report.first_failure()
+            if c is not None:
+                left, right = format_scalar(c.left), format_scalar(c.right)
+                item["counterexample"] = {"subject": list(c.subject), "left": left, "right": right}
             items.append(item)
-        payload = {
-            "suite": args.suite,
-            "rmax": args.rmax,
-            "results": items,
-            "all_passed": all_passed,
-        }
+        payload = {"suite": args.suite, "rmax": args.rmax, "results": items}
+        payload["all_passed"] = not failed
         print(json.dumps(payload, indent=2))
     else:
-        for suite, r, report in results:
-            if report.passed:
-                print(f"{suite} r={r}: pass")
-            else:
-                failure = report.first_failure()
-                print(f"{suite} r={r}: FAIL")
-                print(
-                    f"  counterexample {failure.subject}: "
-                    f"left={format_scalar(failure.left)} right={format_scalar(failure.right)}"
-                )
-        failures = sum(1 for _, _, report in results if not report.passed)
-        if failures:
-            print(f"{failures} of {len(results)} checks FAILED")
+        for report in reports:
+            c = report.first_failure()
+            print(f"{report.name} r={report.r}: {'pass' if c is None else 'FAIL'}")
+            if c is not None:
+                print(f"  counterexample {c.subject}: "
+                      f"left={format_scalar(c.left)} right={format_scalar(c.right)}")
+        if failed:
+            print(f"{len(failed)} of {len(reports)} checks FAILED")
         else:
-            print(f"all {len(results)} checks passed")
-    return 0 if all_passed else 1
+            print(f"all {len(reports)} checks passed")
+    return 1 if failed else 0
 
 
 def _tolerance(text: str) -> float:
@@ -311,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="check the exact identities for every r up to --rmax",
     )
-    p.add_argument("--suite", choices=_SUITES + ("all",), default="all")
+    p.add_argument("--suite", choices=(*_SUITES, "all"), default="all")
     p.add_argument("--rmax", type=int, required=True, metavar="R")
     p.add_argument("--seed", type=int, default=0, help="seed for the bridge suite inputs")
     p.set_defaults(func=cmd_verify)

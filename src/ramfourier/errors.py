@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import log10
+
 __all__ = ["DomainError", "CapacityError", "NotEvenError", "FormatError"]
 
 
@@ -43,3 +45,13 @@ class FormatError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def _int_text(n: int) -> str:
+    """n for an error message: in full up to 40 digits, else by its digit
+    count, as str() of a huge n is long and past CPython's limit raises."""
+    m = abs(n)
+    if m < 10**40:
+        return str(n)
+    k = int((m.bit_length() - 1) * log10(2)) + 1  # m has k or k + 1 digits
+    return f"{'-' if n < 0 else ''}<integer of {k + (m >= 10**k)} digits>"

@@ -31,11 +31,13 @@ from __future__ import annotations
 from contextlib import suppress
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd, lcm
+from operator import mul
 from typing import Callable
 
 from .arith import divisors, euler_phi, factorize
-from .errors import CapacityError, DomainError, NotEvenError
+from .errors import CapacityError, DomainError, NotEvenError, _int_text
 from .periodic import (
     _EXACT_TYPES,
     EVENNESS_TOL,
@@ -45,6 +47,7 @@ from .periodic import (
     _non_finite,
     _same_modulus,
     _Value,
+    cauchy_product,
     dft,
     even_witness,
 )
@@ -188,9 +191,9 @@ def _divisor_values(r: int, pairs) -> _ReadOnlyDict:
     # A mapping's keys are distinct, so its copy keeps every position.
     for i, (d, _) in enumerate(values.items() if hasattr(pairs, "keys") else pairs):
         if d not in allowed:
-            raise DomainError(f"{d} does not divide {r}", index=i)
+            raise DomainError(f"{_int_text(d)} does not divide {_int_text(r)}", index=i)
         if d in seen:
-            raise DomainError(f"duplicate divisor {d}", index=i)
+            raise DomainError(f"duplicate divisor {_int_text(d)}", index=i)
         seen.add(d)
     raise DomainError(f"missing divisors {sorted(allowed - seen)}")
 
@@ -235,7 +238,7 @@ def ramanujan_basis(d: int, r: int) -> EvenFunction:
     """The kernel row C(., d) as an even function mod r; d must divide r."""
     divs = divisors(r)
     if d not in divs:
-        raise DomainError(f"{d} does not divide {r}")
+        raise DomainError(f"{_int_text(d)} does not divide {_int_text(r)}")
     return EvenFunction(r, {e: ramanujan_sum(e, d) for e in divs})
 
 
@@ -388,10 +391,17 @@ class VerificationReport(_Value):
         return [c for c in self.checks if not c.passed]
 
     def first_failure(self) -> IdentityCheck | None:
-        for c in self.checks:
-            if not c.passed:
-                return c
-        return None
+        return next((c for c in self.checks if not c.passed), None)
+
+
+def _report(name: str, r: int, cases, tol: float | None = None) -> VerificationReport:
+    """The report on (subject, left, right) cases at modulus r: each passes
+    when left == right or, given tol, abs(complex(left) - complex(right)) <= tol."""
+    checks = (
+        IdentityCheck(s, a, b, a == b if tol is None else abs(complex(a) - complex(b)) <= tol)
+        for s, a, b in cases
+    )
+    return VerificationReport(name, r, tuple(checks))
 
 
 def verify_orthogonality(r: int) -> VerificationReport:
@@ -403,28 +413,26 @@ def verify_orthogonality(r: int) -> VerificationReport:
     for every pair of divisors d1, d2 of r.
     """
     divs = divisors(r)
-    phis = [euler_phi(e) for e in divs]
     rows = {d: [ramanujan_sum(r // e, d) for e in divs] for d in divs}
-    checks = []
-    for d1 in divs:
-        for d2 in divs:
-            left = sum(a * b * w for a, b, w in zip(rows[d1], rows[d2], phis))
-            right = r * euler_phi(d1) if d1 == d2 else 0
-            checks.append(IdentityCheck((d1, d2), left, right, left == right))
-    return VerificationReport("orthogonality", r, tuple(checks))
+    weighted = {d: list(map(mul, row, map(euler_phi, divs))) for d, row in rows.items()}
+    cases = (
+        ((d1, d2), sum(map(mul, rows[d1], weighted[d2])), r * euler_phi(d1) if d1 == d2 else 0)
+        for d1 in divs
+        for d2 in divs
+    )
+    return _report("orthogonality", r, cases)
 
 
 def verify_symmetry(r: int) -> VerificationReport:
     """Exact check of phi(e) C(r/e, d) = phi(d) C(r/d, e) over all divisor
     pairs (d, e) of r."""
     divs = divisors(r)
-    checks = []
-    for d in divs:
-        for e in divs:
-            left = euler_phi(e) * ramanujan_sum(r // e, d)
-            right = euler_phi(d) * ramanujan_sum(r // d, e)
-            checks.append(IdentityCheck((d, e), left, right, left == right))
-    return VerificationReport("symmetry", r, tuple(checks))
+    cases = (
+        ((d, e), euler_phi(e) * ramanujan_sum(r // e, d), euler_phi(d) * ramanujan_sum(r // d, e))
+        for d in divs
+        for e in divs
+    )
+    return _report("symmetry", r, cases)
 
 
 def verify_rft_dft_bridge(f: EvenFunction, tol: float = BRIDGE_TOL) -> VerificationReport:
@@ -443,28 +451,16 @@ def verify_rft_dft_bridge(f: EvenFunction, tol: float = BRIDGE_TOL) -> Verificat
     """
     r = f.r
     divs = divisors(r)
-    spectrum = dft(to_periodic(f))
-    coeffs = rft(f)
-    checks = []
-    for k in range(1, r + 1):
-        direct = sum(f.values[e] * ramanujan_sum(k, r // e) for e in divs)
-        got = spectrum.coeffs[k - 1]
-        checks.append(
-            IdentityCheck(("divisor-sum", k), got, direct, abs(got - complex(direct)) <= tol)
-        )
-    for k in range(1, r + 1):
-        got = spectrum.coeffs[k - 1]
-        via_gcd = spectrum.coeffs[gcd(k, r) - 1]
-        checks.append(
-            IdentityCheck(("gcd-invariance", k), got, via_gcd, abs(got - via_gcd) <= tol)
-        )
-    for d in divs:
-        left = coeffs.coeffs[d]
-        right = spectrum.coeffs[r // d - 1]
-        checks.append(
-            IdentityCheck(("bridge", d), left, right, abs(complex(left) - right) <= tol)
-        )
-    return VerificationReport("bridge", r, tuple(checks))
+    dft_at = dft(to_periodic(f)).coeffs
+    rft_at = rft(f).coeffs
+    ks = range(1, r + 1)
+    sums = (sum(f.values[e] * ramanujan_sum(k, r // e) for e in divs) for k in ks)
+    cases = chain(
+        ((("divisor-sum", k), dft_at[k - 1], total) for k, total in zip(ks, sums)),
+        ((("gcd-invariance", k), dft_at[k - 1], dft_at[gcd(k, r) - 1]) for k in ks),
+        ((("bridge", d), rft_at[d], dft_at[r // d - 1]) for d in divs),
+    )
+    return _report("bridge", r, cases, tol)
 
 
 def verify_cauchy_kernel_even(r: int) -> VerificationReport:
@@ -472,21 +468,21 @@ def verify_cauchy_kernel_even(r: int) -> VerificationReport:
 
         sum_{a+b = n mod r} C(a, d1) C(b, d2) = r C(n, d1) if d1 = d2 else 0
 
-    exactly, for every divisor pair and every residue n in 1..r.
+    exactly, for every divisor pair and every residue n in 1..r: one
+    `cauchy_product`, the direct double sum that knows nothing of the
+    Ramanujan structure under test, per pair of rows expanded to r residues.
     """
     if r > CAUCHY_KERNEL_CAP:
         raise CapacityError(
-            f"kernel verification is capped at r <= {CAUCHY_KERNEL_CAP}, got {r}"
+            f"kernel verification is capped at r <= {CAUCHY_KERNEL_CAP}, got {_int_text(r)}"
         )
     divs = divisors(r)
-    rows = {d: [ramanujan_sum(n, d) for n in range(1, r + 1)] for d in divs}
-    checks = []
-    for d1 in divs:
-        row1 = rows[d1]
-        for d2 in divs:
-            row2 = rows[d2]
-            for n in range(1, r + 1):
-                left = sum(row1[a - 1] * row2[(n - a - 1) % r] for a in range(1, r + 1))
-                right = r * row1[n - 1] if d1 == d2 else 0
-                checks.append(IdentityCheck((d1, d2, n), left, right, left == right))
-    return VerificationReport("cauchy-kernel", r, tuple(checks))
+    ns = range(1, r + 1)
+    rows = {d: ResidueFunction(r, [ramanujan_sum(n, d) for n in ns]) for d in divs}
+    cases = (
+        ((d1, d2, n), left, r * c if d1 == d2 else 0)
+        for d1 in divs
+        for d2 in divs
+        for n, left, c in zip(ns, cauchy_product(rows[d1], rows[d2]).values, rows[d1].values)
+    )
+    return _report("cauchy-kernel", r, cases)

@@ -40,7 +40,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
 
-from .errors import DomainError, FormatError
+from .errors import CapacityError, DomainError, FormatError, _int_text
 from .even import EvenFunction, EvenSpectrum
 from .periodic import PeriodicSpectrum, ResidueFunction, Scalar, _non_finite
 
@@ -140,7 +140,7 @@ def _parse_header(fields: list[str]) -> tuple[int, str]:
         raise FormatError(f"bad modulus {_quote(fields[0])}")
     modulus = _int(fields[0])
     if modulus < 1:
-        raise FormatError(f"modulus must be >= 1, got {modulus}")
+        raise FormatError(f"modulus must be >= 1, got {_int_text(modulus)}")
     representation = fields[1].lower()
     if representation not in _CLASSES:
         raise FormatError(f"representation must be 'periodic' or 'even', got {_quote(fields[1])}")
@@ -177,6 +177,8 @@ def parse_function_text(text: str) -> ResidueFunction | EvenFunction:
             raise FormatError(str(exc), line=lineno) from None
     try:
         return _CLASSES[representation](modulus, items)
+    except CapacityError as exc:  # a cap on the modulus
+        raise FormatError(str(exc), line=head_no) from None
     except DomainError as exc:
         line = head_no if exc.index is None else entries[exc.index + 1][0]
         raise FormatError(str(exc), line=line) from None
@@ -244,6 +246,8 @@ def parse_function_json(text: str) -> ResidueFunction | EvenFunction:
             items.append((d, _json_scalar(item["value"], f"{where}.value")))
     try:
         return _CLASSES[representation](modulus, items)
+    except CapacityError as exc:  # a cap on the modulus
+        raise FormatError(f"field modulus: {exc}") from None
     except DomainError as exc:
         where = "values" if exc.index is None else f"values[{exc.index}].divisor"
         raise FormatError(f"field {where}: {exc}") from None

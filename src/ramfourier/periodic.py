@@ -25,7 +25,7 @@ from operator import add, mul, sub
 from typing import Callable, Union
 
 from .arith import factorize
-from .errors import DomainError
+from .errors import DomainError, _int_text
 
 __all__ = [
     "Scalar",
@@ -158,16 +158,16 @@ def _non_finite(v: Scalar) -> bool:
 
 def _same_modulus(f, g):
     if f.r != g.r:
-        raise DomainError(f"modulus mismatch: {f.r} != {g.r}")
+        raise DomainError(f"modulus mismatch: {_int_text(f.r)} != {_int_text(g.r)}")
 
 
 def _residue_values(r: int, values) -> tuple:
     """values as a tuple of r entries, one per residue: the one count check."""
     if r < 1:
-        raise DomainError(f"modulus must be >= 1, got {r}")
+        raise DomainError(f"modulus must be >= 1, got {_int_text(r)}")
     values = tuple(values)
     if len(values) != r:
-        raise DomainError(f"expected {r} values, found {len(values)}")
+        raise DomainError(f"expected {_int_text(r)} values, found {len(values)}")
     return values
 
 
@@ -314,24 +314,27 @@ def inner_product_periodic(f: ResidueFunction, g: ResidueFunction) -> Scalar:
 def cauchy_product(f: ResidueFunction, g: ResidueFunction) -> ResidueFunction:
     """(f o g)(n) = sum over a = 1..r of f(a) g(n - a), indices mod r.
 
-    The direct double sum; exact inputs give exact values.
+    The direct double sum, r^2 multiply-adds; exact inputs stay exact.
+    Terms a = 1..r read g(n - 1), ..., g(n - r): g reversed and rotated to
+    start at g(n - 1), so one sum(map(mul, ...)) adds the same products in
+    the same order as a loop over a, and floats come out bit-identical.
     """
     _same_modulus(f, g)
     r = f.r
-    values = []
-    for n in range(1, r + 1):
-        values.append(
-            sum(f.values[a - 1] * g.values[(n - a - 1) % r] for a in range(1, r + 1))
-        )
-    return ResidueFunction(r, tuple(values))
+    # Residue m sits at index r - m of g reversed (residue r, i.e. 0, at 0).
+    twice = g.values[::-1] * 2
+    windows = (twice[r + 1 - n : 2 * r + 1 - n] for n in range(1, r + 1))
+    return ResidueFunction(r, (sum(map(mul, f.values, w)) for w in windows))
 
 
 def cauchy_product_spectral(f: ResidueFunction, g: ResidueFunction) -> ResidueFunction:
-    """Cauchy product via the transform domain: coefficients multiply."""
+    """Cauchy product via the transform domain: coefficients multiply. An
+    exact value outside the float range raises DomainError naming f or g."""
     _same_modulus(f, g)
-    ff, gg = dft(f), dft(g)
-    product = PeriodicSpectrum(f.r, tuple(a * b for a, b in zip(ff.coeffs, gg.coeffs)))
-    return idft(product)
+    # As in `dft`: F(k) = G(-k) for the transform G of the residues 0..r-1.
+    ff = _transform(_complex_values(f.values, "value of f at residue"))
+    gg = _transform(_complex_values(g.values, "value of g at residue"))
+    return idft(PeriodicSpectrum(f.r, tuple(map(mul, reversed(ff), reversed(gg)))))
 
 
 def even_witness(f: ResidueFunction, tol: float = EVENNESS_TOL) -> int | None:

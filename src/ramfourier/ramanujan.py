@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import gcd
 
 from .arith import euler_phi, mobius
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, _int_text
 from .periodic import _roots
 
 __all__ = [
@@ -38,7 +38,7 @@ def ramanujan_sum(n: int, r: int) -> int:
     n = r, i.e. gcd(n, r) = r.
     """
     if r < 1:
-        raise DomainError(f"modulus must be >= 1, got {r}")
+        raise DomainError(f"modulus must be >= 1, got {_int_text(r)}")
     k = r // gcd(n, r)
     mu = mobius(k)
     return mu * (euler_phi(r) // euler_phi(k)) if mu else 0
@@ -57,8 +57,8 @@ def ramanujan_sum_oracle(n: int, r: int) -> complex:
     and its imaginary part is below 1e-6 in magnitude.
     """
     if r < 1:
-        raise DomainError(f"modulus must be >= 1, got {r}")
+        raise DomainError(f"modulus must be >= 1, got {_int_text(r)}")
     if r > ORACLE_CAP:
-        raise CapacityError(f"exponential sum is capped at r <= {ORACLE_CAP}, got {r}")
+        raise CapacityError(f"exponential sum is capped at r <= {ORACLE_CAP}, got {_int_text(r)}")
     roots = _roots(r)
     return sum((roots[(k * n) % r] for k in _coprime_residues(r)), start=0j)

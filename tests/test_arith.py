@@ -46,6 +46,16 @@ class TestFactorize:
         with pytest.raises(CapacityError):
             factorize(2**50 + 1)
 
+    def test_cap_message_gives_a_long_integer_by_its_digit_count(self):
+        # 10**5000 is past CPython's int-to-text limit, where str() raises.
+        for n, digits in ((10**40, 41), (10**4000, 4001), (10**5000, 5001)):
+            with pytest.raises(CapacityError, match=f"got <integer of {digits} digits>$"):
+                factorize(n)
+        with pytest.raises(DomainError, match=r"got -<integer of 41 digits>$"):
+            factorize(-(10**40))
+        with pytest.raises(CapacityError, match=r"got 9{40}$"):
+            factorize(10**40 - 1)
+
     @given(st.integers(min_value=1, max_value=10**6))
     def test_product_recovers_n(self, n):
         factors = factorize(n)

@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import ramfourier.cli as cli
+import ramfourier.even as even_mod
 from ramfourier import divisors, parse_function_text
 from ramfourier.cli import main
 
@@ -51,6 +52,14 @@ class TestCsum:
             "divisors": [1, 2, 4],
             "table": [[1, 1, 2], [1, 1, -2], [1, -1, 0]],
         }
+
+    def test_huge_modulus_gives_a_short_message(self, capsys):
+        for r, message in (
+            ("7" * 4000, "factorize is capped at n <= 2**50, got <integer of 4000 digits>"),
+            ("-" + "7" * 4000, "modulus must be >= 1, got -<integer of 4000 digits>"),
+        ):
+            code, out, err = run(["csum", "1", r], capsys)
+            assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_bad_arguments(self, capsys):
         code, _, err = run(["csum", "2"], capsys)
@@ -285,17 +294,20 @@ class TestCauchy:
 
     def test_values_past_the_float_range_exit_2(self, capsys, tmp_path):
         even, periodic = tmp_path / "even.txt", tmp_path / "periodic.txt"
+        small = tmp_path / "small.txt"
         even.write_text(HUGE_EVEN)
         periodic.write_text(HUGE_PERIODIC)
-        for path, extra, residue in (
-            (even, [], 1),
-            (periodic, [], 2),
-            (periodic, ["--check"], 2),
+        small.write_text("2 periodic\n1\n2\n")
+        for f, g, extra, where in (
+            (even, even, [], "f at residue 1"),
+            (periodic, periodic, [], "f at residue 2"),
+            (periodic, periodic, ["--check"], "f at residue 2"),
+            (small, periodic, [], "g at residue 2"),
         ):
-            argv = ["cauchy", path, path, "--method", "spectral", *extra]
+            argv = ["cauchy", f, g, "--method", "spectral", *extra]
             code, out, err = run(argv, capsys)
             assert (code, out) == (2, "")
-            assert err == f"error: value at residue {residue} is outside the floating-point range\n"
+            assert err == f"error: value of {where} is outside the floating-point range\n"
 
     def test_tolerance_must_be_finite_and_non_negative(self, capsys):
         pair = [FIXTURES / "gcd4.txt", FIXTURES / "const4.txt"]
@@ -413,6 +425,35 @@ class TestVerify:
         )
         assert code == 1
         assert "FAIL" in out and "counterexample" in out
+
+    def test_exact_suite_counterexample(self, capsys, monkeypatch):
+        # C(2, 4) = -2 made -1: the symmetry pair (d, e) = (2, 4) then reads
+        # phi(4) C(1, 2) = -2 on the left and phi(2) C(2, 4) = -1 on the right.
+        exact = even_mod.ramanujan_sum
+        monkeypatch.setattr(
+            even_mod, "ramanujan_sum", lambda n, d: exact(n, d) + ((n, d) == (2, 4))
+        )
+        argv = ["verify", "--suite", "symmetry", "--rmax", "4"]
+        code, out, _ = run(argv, capsys)
+        assert (code, out) == (
+            1,
+            "symmetry r=1: pass\n"
+            "symmetry r=2: pass\n"
+            "symmetry r=3: pass\n"
+            "symmetry r=4: FAIL\n"
+            "  counterexample (2, 4): left=-2 right=-1\n"
+            "1 of 4 checks FAILED\n",
+        )
+        code, out, _ = run([*argv, "--format", "json"], capsys)
+        payload = json.loads(out)
+        assert code == 1 and payload["all_passed"] is False
+        assert [item["passed"] for item in payload["results"]] == [True, True, True, False]
+        assert payload["results"][3] == {
+            "suite": "symmetry",
+            "r": 4,
+            "passed": False,
+            "counterexample": {"subject": [2, 4], "left": "-2", "right": "-1"},
+        }
 
     def test_json_report(self, capsys):
         code, out, _ = run(

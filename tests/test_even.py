@@ -545,6 +545,19 @@ class TestVerifyCauchyKernel:
         for r in range(1, 31):
             assert verify_cauchy_kernel_even(r).passed
 
+    def test_one_cauchy_product_per_row_pair(self, monkeypatch):
+        calls = []
+
+        def spy(f, g):
+            calls.append((f.r, g.r))
+            return cauchy_product(f, g)
+
+        monkeypatch.setattr(even_mod, "cauchy_product", spy)
+        for r in (1, 4, 12, 30):
+            calls.clear()
+            assert verify_cauchy_kernel_even(r).passed
+            assert calls == [(r, r)] * len(divisors(r)) ** 2
+
 
 class TestReports:
     def test_counterexample_listing(self):

@@ -29,6 +29,9 @@ FIXTURES = Path(__file__).parent / "fixtures"
 # CPython refuses int <-> str conversions past 4300 digits by default.
 LONG = "7" * 5000
 
+# A modulus under that limit but far over FACTORIZE_CAP.
+BIG = "7" * 4000
+
 # Reader messages quote a long token by a prefix and its length, so each
 # error case below stays under this many characters.
 MESSAGE_MAX = 120
@@ -153,6 +156,10 @@ TEXT_ERRORS = {
     "long garbage": (f"2 periodic\n1\nx{LONG}\n", 3, "bad value 'x777"),
     "long non-finite": (f"2 periodic\n1\n{LONG}.5\n", 3, "non-finite value '777"),
     "long bad modulus": (f"x{LONG} even\n1 1\n", 1, "bad modulus 'x777"),
+    "huge even modulus": (f"{BIG} even\n1 1\n", 1, "factorize is capped at n <= 2**50, got <"),
+    "huge periodic modulus": (f"{BIG} periodic\n1\n", 1, "expected <integer of 4000 digits> "),
+    "negative modulus": (f"-{BIG} even\n1 1\n", 1, "modulus must be >= 1, got -<integer of"),
+    "huge divisor": (f"4 even\n1 1\n{BIG} 2\n", 3, "<integer of 4000 digits> does not divide 4"),
 }
 
 
@@ -194,6 +201,16 @@ JSON_ERRORS = {
     "long fraction": (_json("periodic", [1, f"1/{LONG}", 3, 4]), "values[1]", "integer of 5000"),
     "long garbage": (_json("periodic", [1, 2, 3, f"x{LONG}"]), "values[3]", "bad value 'x777"),
     "long non-finite": (_json("periodic", [f"{LONG}.5", 2, 3, 4]), "values[0]", "non-finite"),
+    "huge even modulus": (
+        _json("even", _pairs(1)).replace('"modulus": 4', f'"modulus": {BIG}'),
+        "modulus",
+        "factorize is capped at n <= 2**50, got <integer of 4000 digits>",
+    ),
+    "huge periodic modulus": (
+        _json("periodic", [1]).replace('"modulus": 4', f'"modulus": {BIG}'),
+        "values",
+        "expected <integer of 4000 digits> values, found 1",
+    ),
 }
 
 

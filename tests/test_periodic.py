@@ -59,6 +59,12 @@ def oracle_dft(values):
     return coeffs
 
 
+def oracle_cauchy(f, g):
+    """The direct O(r^2) cyclic convolution, summed over a = 1..r for each n."""
+    r = len(f)
+    return [sum(f[a - 1] * g[(n - a - 1) % r] for a in range(1, r + 1)) for n in range(1, r + 1)]
+
+
 def oracle_idft(coeffs):
     """The direct O(r^2) inverse sum, twiddles at the reduced index (k*n) mod r."""
     r = len(coeffs)
@@ -265,6 +271,24 @@ class TestCauchyProduct:
         with pytest.raises(DomainError):
             cauchy_product(ResidueFunction(2, (1, 1)), ResidueFunction(3, (1, 1, 1)))
 
+    @pytest.mark.parametrize("kind", ["int", "Fraction", "float", "complex"])
+    def test_bit_identical_to_the_double_sum(self, kind):
+        rng = random.Random(kind)
+        draw = {
+            "int": lambda: rng.randint(-99, 99),
+            "Fraction": lambda: Fraction(rng.randint(-99, 99), rng.randint(1, 99)),
+            "float": lambda: rng.uniform(-1, 1) * 10 ** rng.randint(-8, 8),
+            "complex": lambda: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+        }[kind]
+        # Fraction sums are exact in any order, and at r = 1024 each side
+        # takes seconds, so Fractions stop at r = 128.
+        for r in (1, 2, 3, 17, 128) if kind == "Fraction" else (1, 2, 3, 17, 128, 1024):
+            f, g = (tuple(draw() for _ in range(r)) for _ in range(2))
+            got = cauchy_product(ResidueFunction(r, f), ResidueFunction(r, g)).values
+            want = oracle_cauchy(f, g)
+            assert list(got) == want, r
+            assert [type(v) for v in got] == [type(v) for v in want], r
+
 
 HUGE = 10**400  # past the float range, so complex() overflows on it
 
@@ -289,9 +313,14 @@ class TestFloatRange:
 
     def test_spectral_cauchy_product(self):
         f, g = ResidueFunction(2, (1, 2)), ResidueFunction(2, (1, HUGE))
-        for args in ((f, g), (g, f)):
-            with pytest.raises(DomainError, match="value at residue 2 "):
+        messages = set()
+        for args, name in (((f, g), "g"), ((g, f), "f")):
+            with pytest.raises(DomainError, match=f"value of {name} at residue 2 ") as info:
                 cauchy_product_spectral(*args)
+            assert info.value.index == 1
+            messages.add(str(info.value))
+        # The message says which argument holds the value.
+        assert len(messages) == 2
 
     def test_a_huge_fraction_near_one_converts(self):
         spectrum = dft(ResidueFunction(1, (Fraction(HUGE + 1, HUGE),)))
