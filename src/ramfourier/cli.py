@@ -37,7 +37,7 @@ from .even import (
     verify_rft_dft_bridge,
     verify_symmetry,
 )
-from .funcfile import format_function, format_scalar, load_function
+from .funcfile import _quote, format_function, format_scalar, load_function
 from .periodic import (
     DEFAULT_FLOAT_TOL,
     EVENNESS_TOL,
@@ -221,14 +221,22 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+def _integer(text: str) -> int:
+    # int() itself refuses text past 4300 digits, and argparse would quote it whole.
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_quote(text)}") from None
+
+
 def _tolerance(text: str) -> float:
     # NaN would pass every check, inf any discrepancy, and a negative value none.
     try:
         tol = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid float value: {_quote(text)}") from None
     if not 0 <= tol < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {_quote(text)}")
     return tol
 
 
@@ -256,7 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="Ramanujan sum C(n, r), or the divisor table C(r/e, d) with --table",
     )
-    p.add_argument("values", nargs="+", type=int, metavar="INT", help="n r, or r with --table")
+    p.add_argument(
+        "values", nargs="+", type=_integer, metavar="INT", help="n r, or r with --table"
+    )
     p.add_argument("--table", action="store_true", help="print the divisor-indexed table")
     p.set_defaults(func=cmd_csum)
 
@@ -295,9 +305,17 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="check the exact identities for every r up to --rmax",
     )
-    p.add_argument("--suite", choices=(*_SUITES, "all"), default="all")
-    p.add_argument("--rmax", type=int, required=True, metavar="R")
-    p.add_argument("--seed", type=int, default=0, help="seed for the bridge suite inputs")
+    # A metavar keeps the usage line, which argparse prints with every
+    # usage error, to two lines.
+    p.add_argument(
+        "--suite",
+        choices=(*_SUITES, "all"),
+        default="all",
+        metavar="SUITE",
+        help="one of %(choices)s (default: %(default)s)",
+    )
+    p.add_argument("--rmax", type=_integer, required=True, metavar="R")
+    p.add_argument("--seed", type=_integer, default=0, help="seed for the bridge suite inputs")
     p.set_defaults(func=cmd_verify)
 
     return parser

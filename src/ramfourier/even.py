@@ -444,7 +444,7 @@ def verify_rft_dft_bridge(f: EvenFunction, tol: float = BRIDGE_TOL) -> Verificat
     k = r/d.
 
     tol is absolute, while the floating DFT's error scales with the
-    size of f: it is at most 4 eps log2(r) sqrt(r) ||f||_2 (see `dft`).
+    size of f: it is at most 5 eps log2(r) sqrt(r) ||f||_2 (see `dft`).
     For f with large values pass a tol scaled to match; the default
     1e-8 holds with wide margin for values of modest size at desk-scale
     r, such as the acceptance inputs (|f(d)| <= 12, r <= 128).

@@ -158,7 +158,7 @@ class TestTransform:
             assert err.startswith("error: ") and "non-finite value inf+0j at index 2" in err
 
     def test_overflowing_output_is_refused_at_fft_lengths(self, capsys, tmp_path):
-        # 17 runs through Bluestein's chirp-z, 12 through mixed radix 2 and 3.
+        # 17 runs through Rader's rule, 12 through mixed radix 2 and 3.
         big = tmp_path / "big.txt"
         for r in (17, 12):
             big.write_text(f"{r} periodic\n" + "1e308\n" * r)
@@ -470,3 +470,19 @@ class TestVerify:
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_over_long_option_tokens_give_short_messages(capsys):
+    # 5000 digits is past CPython's int-from-text limit, and as a float it is inf.
+    long = "7" * 5000
+    quoted = f"'{long[:40]}'... (5000 characters)"
+    for argv, where in (
+        (["csum", "1", long], "argument INT: invalid int value"),
+        (["verify", "--rmax", long], "argument --rmax: invalid int value"),
+        (["verify", "--rmax", "2", "--seed", long], "argument --seed: invalid int value"),
+        (["csum", "1", "1", "--tolerance", long], "argument --tolerance: must be finite"),
+    ):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert where in err and quoted in err
+        assert len(err.encode()) < ERR_MAX

@@ -4,7 +4,8 @@ import cmath
 import random
 import time
 from fractions import Fraction
-from math import gcd, pi
+from math import fsum, gcd, log2, pi, sqrt
+from operator import mul, neg, sub
 
 import pytest
 
@@ -63,6 +64,36 @@ def oracle_cauchy(f, g):
     """The direct O(r^2) cyclic convolution, summed over a = 1..r for each n."""
     r = len(f)
     return [sum(f[a - 1] * g[(n - a - 1) % r] for a in range(1, r + 1)) for n in range(1, r + 1)]
+
+
+def fsum_dot(a, b):
+    """sum_i a[i] * b[i] with each real product rounded once and the real
+    and imaginary parts each summed exactly by fsum."""
+    ar, ai = [v.real for v in a], [v.imag for v in a]
+    br, bi = [v.real for v in b], [v.imag for v in b]
+    real = fsum([*map(mul, ar, br), *map(mul, map(neg, ai), bi)])
+    imag = fsum([*map(mul, ar, bi), *map(mul, ai, br)])
+    return complex(real, imag)
+
+
+def oracle_dft_fsum(values):
+    """The sums of `oracle_dft`, each exact but for its twiddles and products."""
+    r = len(values)
+    roots = [cmath.exp(2j * pi * (m / r)) for m in range(r)]
+    return [
+        fsum_dot(values, [roots[(-k * n) % r] for n in range(1, r + 1)])
+        for k in range(1, r + 1)
+    ]
+
+
+def oracle_cauchy_fsum(f, g):
+    """The sums of `oracle_cauchy`, each exact but for its products."""
+    r = len(f)
+    return [fsum_dot(f, [g[(n - a - 1) % r] for a in range(1, r + 1)]) for n in range(1, r + 1)]
+
+
+def norm2(values):
+    return sqrt(fsum(abs(v) ** 2 for v in values))
 
 
 def oracle_idft(coeffs):
@@ -162,15 +193,76 @@ class TestAgainstDirectSum:
             self.check(r, rng)
 
     def test_larger_moduli(self):
-        # 289 and 323 run two Bluestein stages, so the first one has twiddles;
+        # 289 and 323 run two Rader stages, so the first one has twiddles;
         # 1021 and 1024 set the benchmark's tail, prime against power of two.
         rng = random.Random(33)
         for r in (289, 323, 1021, 1024):
             self.check(r, rng)
 
 
+def spy_on_transform(monkeypatch) -> list:
+    """The lengths of the `_transform` calls made from now on, nested ones too."""
+    lengths = []
+    transform = periodic_mod._transform
+
+    def spy(x, batch=1):
+        lengths.append(len(x) // batch)
+        return transform(x, batch)
+
+    monkeypatch.setattr(periodic_mod, "_transform", spy)
+    return lengths
+
+
+@pytest.mark.parametrize("r, inner", [(641, 640), (184, 22)])
+def test_rader_convolves_once_at_a_smooth_p_minus_1(monkeypatch, r, inner):
+    # 640 = 2^7 * 5, so the prime 641 convolves at 640, never near 2 * 641;
+    # 184 = 8 * 23 convolves all 8 columns of its 23-point stage in one call.
+    lengths = spy_on_transform(monkeypatch)
+    dft(random_complex_function(r, random.Random(36)))
+    assert sorted(lengths) == [inner, inner, inner, r]
+
+
+class TestStatedErrorBound:
+    """The stated bounds against the fsum references, eps = 2**-53, for
+    values in the unit box: `dft` keeps ||F' - F||_2 <= 5 eps log2(r)
+    sqrt(r) ||f||_2, `idft` ||f' - f||_2 <= 5 eps log2(r) ||F||_2 / sqrt(r),
+    and `cauchy_product_spectral` ||h' - h||_2 <= 5 eps log2(r) sqrt(r)
+    ||f||_2 ||g||_2."""
+
+    # Every r <= 64, the benchmark's nine primes, and lengths whose prime
+    # factor above 13 runs as one stage of several.
+    LENGTHS = (*range(1, 65), 131, 199, 257, 331, 401, 509, 641, 769, 1021, 184, 289, 464)
+    CAUCHY_LENGTHS = (*range(1, 65), 131, 184, 509)
+
+    @staticmethod
+    def bound(r):
+        return 5 * 2.0**-53 * log2(r) * sqrt(r)
+
+    def test_dft_and_idft(self):
+        rng = random.Random(35)
+        for r in self.LENGTHS:
+            f = random_complex_function(r, rng)
+            want = oracle_dft_fsum(f.values)
+            bound = self.bound(r) * norm2(f.values)
+            assert norm2(map(sub, dft(f).coeffs, want)) <= bound, r
+            # The inverse sum at n is the forward one at k = -n mod r.
+            want = [v / r for v in (*want[-2::-1], want[-1])]
+            got = idft(PeriodicSpectrum(r, f.values)).values
+            assert norm2(map(sub, got, want)) <= bound / r, r
+
+    def test_cauchy_product_spectral(self):
+        rng = random.Random(37)
+        for r in self.CAUCHY_LENGTHS:
+            f = random_complex_function(r, rng)
+            g = random_complex_function(r, rng)
+            want = oracle_cauchy_fsum(f.values, g.values)
+            got = cauchy_product_spectral(f, g).values
+            bound = self.bound(r) * norm2(f.values) * norm2(g.values)
+            assert norm2(map(sub, got, want)) <= bound, r
+
+
 def test_large_roundtrip_within_time_bound():
-    # The direct sums would take hours here; 65521 is prime (Bluestein).
+    # The direct sums would take hours here; 65521 is prime (Rader, at 65520).
     start = time.perf_counter()
     rng = random.Random(34)
     for r in (65536, 65521):
@@ -365,6 +457,25 @@ class TestCauchyProductSpectral:
         f = ResidueFunction(1, (2.0,))
         g = ResidueFunction(1, (3.0,))
         assert close(cauchy_product_spectral(f, g).values[0], 6.0, 1e-12)
+
+    def test_agrees_with_the_double_sum_at_long_lengths(self):
+        # Smooth lengths convolve at r; 17, 34, 199, 509 and 1021 have a prime
+        # factor above 13, so they convolve at a power of two >= 2r - 1.
+        rng = random.Random(24)
+        for r in (1, 2, 17, 34, 199, 509, 1021, 1024):
+            f = random_complex_function(r, rng)
+            g = random_complex_function(r, rng)
+            got = cauchy_product_spectral(f, g).values
+            want = oracle_cauchy(f.values, g.values)
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-10, r
+
+    def test_three_transforms_at_a_prime(self, monkeypatch):
+        # A prime r convolves at the power of two >= 2r - 1, with no Rader stage.
+        rng = random.Random(25)
+        f, g = random_complex_function(509, rng), random_complex_function(509, rng)
+        lengths = spy_on_transform(monkeypatch)
+        cauchy_product_spectral(f, g)
+        assert lengths == [1024] * 3
 
 
 def test_exponential_kernel_identity():
