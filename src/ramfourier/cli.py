@@ -9,6 +9,8 @@ Subcommands:
 All subcommands accept --format text|json and --tolerance (used by
 floating comparisons only). Exit status: 0 when everything requested
 succeeded, 1 when a requested check failed, 2 on usage or input errors.
+Input errors include an exact value too large for floating point on a
+floating route, or next to a floating value on any route.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .even import (
     verify_rft_dft_bridge,
     verify_symmetry,
 )
-from .funcfile import _quote, format_function, format_scalar, load_function
+from .funcfile import _json_payload, _quote, format_function, format_scalar, load_function
 from .periodic import (
     DEFAULT_FLOAT_TOL,
     EVENNESS_TOL,
@@ -110,6 +112,15 @@ def cmd_transform(args) -> int:
     return 0
 
 
+# Each method's route, and the independent route its --check compares
+# with: the direct double sum, or for that route itself the spectral one.
+_CAUCHY = {
+    "naive": (cauchy_product, cauchy_product_spectral),
+    "spectral": (cauchy_product_spectral, cauchy_product),
+    "even": (cauchy_product_even, cauchy_product),
+}
+
+
 def cmd_cauchy(args) -> int:
     f = load_function(args.f)
     g = load_function(args.g)
@@ -120,49 +131,30 @@ def cmd_cauchy(args) -> int:
         method = "even" if both_even else "naive"
     if method == "even" and not both_even:
         raise DomainError("--method even needs two even-representation inputs")
+    route, partner = _CAUCHY[method]
 
-    # Only the residue-domain routes read the expansions.
+    # Only the even route reads divisor data; the others read the expansions.
     if method != "even" or args.check:
         pf, pg = (to_periodic(h) if isinstance(h, EvenFunction) else h for h in (f, g))
-    if method == "even":
-        product = cauchy_product_even(f, g)
-    elif method == "naive":
-        product = cauchy_product(pf, pg)
-    else:
-        product = cauchy_product_spectral(pf, pg)
-
-    exit_code = 0
-    discrepancy = None
-    worst = None
+    product = route(f, g) if method == "even" else route(pf, pg)
+    check = {}
     if args.check:
-        # Compare against the other route: the direct double sum, unless
-        # that is what we just ran, in which case the spectral one.
-        if method == "naive":
-            other = cauchy_product_spectral(pf, pg)
-        else:
-            other = cauchy_product(pf, pg)
         mine = to_periodic(product) if isinstance(product, EvenFunction) else product
-        diffs = [abs(a - b) for a, b in zip(mine.values, other.values)]
-        discrepancy = max(diffs)
-        worst = diffs.index(discrepancy) + 1
+        diffs = [abs(a - b) for a, b in zip(mine.values, partner(pf, pg).values)]
+        worst = max(diffs)
+        shown, at = format_scalar(worst), diffs.index(worst) + 1
         tol = args.tolerance if args.tolerance is not None else DEFAULT_FLOAT_TOL
-        if not discrepancy <= tol:
-            exit_code = 1
+        check = {"max_discrepancy": shown, "max_discrepancy_at": at, "check_passed": worst <= tol}
 
     # Format before printing anything, so a FormatError leaves stdout empty.
-    text = format_function(product, args.format)
     if args.format == "json":
-        payload = json.loads(text)
-        if args.check:
-            payload["max_discrepancy"] = format_scalar(discrepancy)
-            payload["max_discrepancy_at"] = worst
-            payload["check_passed"] = exit_code == 0
-        print(json.dumps(payload, indent=2))
+        text = json.dumps(_json_payload(product) | check, indent=2) + "\n"
     else:
-        if args.check:
-            print(f"# max discrepancy: {format_scalar(discrepancy)} (at n={worst})")
-        sys.stdout.write(text)
-    return exit_code
+        text = format_function(product)
+        if check:
+            text = f"# max discrepancy: {shown} (at n={at})\n{text}"
+    sys.stdout.write(text)
+    return 0 if check.get("check_passed", True) else 1
 
 
 def _random_even(r: int, rng: random.Random) -> EvenFunction:
@@ -193,31 +185,34 @@ def cmd_verify(args) -> int:
     rng = random.Random(args.seed)
     tol = args.tolerance if args.tolerance is not None else BRIDGE_TOL
     reports = [_SUITES[s](r, rng, tol) for s in suites for r in range(1, args.rmax + 1)]
-    failed = [report for report in reports if not report.passed]
+    results = []
+    for report in reports:
+        c = report.first_failure()
+        item = {"suite": report.name, "r": report.r, "passed": c is None}
+        if c is not None:
+            # Formatted once for either form. json.dumps writes the subject
+            # tuple as an array, and the text form shows it as a tuple.
+            left, right = format_scalar(c.left), format_scalar(c.right)
+            item["counterexample"] = {"subject": c.subject, "left": left, "right": right}
+        results.append(item)
+    failed = sum(not item["passed"] for item in results)
 
     if args.format == "json":
-        items = []
-        for report in reports:
-            item = {"suite": report.name, "r": report.r, "passed": report.passed}
-            c = report.first_failure()
-            if c is not None:
-                left, right = format_scalar(c.left), format_scalar(c.right)
-                item["counterexample"] = {"subject": list(c.subject), "left": left, "right": right}
-            items.append(item)
-        payload = {"suite": args.suite, "rmax": args.rmax, "results": items}
-        payload["all_passed"] = not failed
-        print(json.dumps(payload, indent=2))
+        payload = {"suite": args.suite, "rmax": args.rmax, "results": results}
+        text = json.dumps(payload | {"all_passed": not failed}, indent=2) + "\n"
     else:
-        for report in reports:
-            c = report.first_failure()
-            print(f"{report.name} r={report.r}: {'pass' if c is None else 'FAIL'}")
-            if c is not None:
-                print(f"  counterexample {c.subject}: "
-                      f"left={format_scalar(c.left)} right={format_scalar(c.right)}")
+        lines = []
+        for item in results:
+            lines.append("{suite} r={r}: ".format(**item) + ("pass" if item["passed"] else "FAIL"))
+            if "counterexample" in item:
+                c = item["counterexample"]
+                lines.append("  counterexample {subject}: left={left} right={right}".format(**c))
         if failed:
-            print(f"{len(failed)} of {len(reports)} checks FAILED")
+            lines.append(f"{failed} of {len(results)} checks FAILED")
         else:
-            print(f"all {len(reports)} checks passed")
+            lines.append(f"all {len(results)} checks passed")
+        text = "\n".join(lines) + "\n"
+    sys.stdout.write(text)
     return 1 if failed else 0
 
 

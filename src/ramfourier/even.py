@@ -16,7 +16,10 @@ prime at a time (Yates' algorithm). The blocks are banded, so each pass
 is one prefix sum: at most tau(r) * sum(a_i + 1) multiply-adds in all,
 no kernel table and nothing of size r. Exact input is scaled once to
 integers over the lcm of its denominators, and every route divides once
-at the end, giving an int wherever the denominator is 1.
+at the end, giving an int wherever the denominator is 1. Input that
+mixes exact and floating values runs in floating point, and an exact
+value there outside the float range raises DomainError naming its
+divisor, and f or g for the two-argument routes.
 
 `rft_naive` keeps the defining r-term sum as a slow reference, and
 `verify_rft_dft_bridge` ties the fast route to the floating DFT.
@@ -45,6 +48,7 @@ from .periodic import (
     Scalar,
     _conj,
     _non_finite,
+    _range_error,
     _same_modulus,
     _Value,
     cauchy_product,
@@ -174,13 +178,17 @@ class _ReadOnlyDict(dict):
 
 
 def _divisor_values(r: int, pairs) -> _ReadOnlyDict:
-    """A mapping, or (divisor, value) pairs, keyed by the divisors of r in
-    increasing order: the one check behind every even object and reader.
+    """A mapping, or an iterable of (divisor, value) pairs, keyed by the
+    divisors of r in increasing order: the one check behind every even
+    object and reader.
 
     A non-divisor, a repeated divisor or a missing divisor raises
     DomainError with the index of the offending pair (None if missing).
     """
     divs = divisors(r)
+    # Pairs are read once into a list, so any iterable can be counted and walked again.
+    if not hasattr(pairs, "keys"):
+        pairs = list(pairs)
     # A plain dict copy: a subclass's __missing__ could invent a value.
     values = dict(pairs)
     # tau(r) distinct keys that include every divisor are exactly the divisors.
@@ -201,8 +209,9 @@ def _divisor_values(r: int, pairs) -> _ReadOnlyDict:
 class EvenFunction(_Value):
     """A function even mod r, stored by its values on the divisors of r.
 
-    values (a mapping, or (divisor, value) pairs) is kept as a read-only
-    dict in increasing divisor order; the object is immutable and hashable.
+    values (a mapping, or any iterable of (divisor, value) pairs) is kept
+    as a read-only dict in increasing divisor order; the object is
+    immutable and hashable.
     """
 
     __slots__ = ("r", "values")
@@ -284,7 +293,10 @@ def rft(f: EvenFunction) -> EvenSpectrum:
     r = f.r
     factors, order = _layout(r)
     flipped = order[::-1]
-    nums, den = _scaled([f.values[d] for d in flipped])
+    try:
+        nums, den = _scaled([f.values[d] for d in flipped])
+    except OverflowError:
+        raise _range_error(("value at divisor", f.values)) from None
     totals = _kronecker(factors, nums)
     return EvenSpectrum(r, {d: _normalise(t, den) for d, t in zip(flipped, totals)})
 
@@ -315,7 +327,10 @@ def irft(spectrum: EvenSpectrum) -> EvenFunction:
     """
     r = spectrum.r
     factors, order = _layout(r)
-    nums, den = _scaled([spectrum.coeffs[d] for d in order])
+    try:
+        nums, den = _scaled([spectrum.coeffs[d] for d in order])
+    except OverflowError:
+        raise _range_error(("coefficient at divisor", spectrum.coeffs)) from None
     totals = _kronecker(factors, nums)
     return EvenFunction(r, {e: _normalise(t, den * r) for e, t in zip(order, totals)})
 
@@ -330,10 +345,14 @@ def inner_product_even(f: EvenFunction, g: EvenFunction) -> Scalar:
     _same_modulus(f, g)
     r = f.r
     divs = divisors(r)
-    nf, lf = _scaled([f.values[d] for d in divs])
-    ng, lg = _scaled([_conj(g.values[d]) for d in divs])
-    total = sum(a * b * euler_phi(r // d) for a, b, d in zip(nf, ng, divs))
-    return _normalise(total, lf * lg)
+    try:
+        nf, lf = _scaled([f.values[d] for d in divs])
+        ng, lg = _scaled([_conj(g.values[d]) for d in divs])
+        total = sum(a * b * euler_phi(r // d) for a, b, d in zip(nf, ng, divs))
+        return _normalise(total, lf * lg)
+    except OverflowError:
+        named = ("value of f at divisor", f.values), ("value of g at divisor", g.values)
+        raise _range_error(*named) from None
 
 
 def cauchy_product_even(f: EvenFunction, g: EvenFunction) -> EvenFunction:
@@ -349,14 +368,18 @@ def cauchy_product_even(f: EvenFunction, g: EvenFunction) -> EvenFunction:
     r = f.r
     factors, order = _layout(r)
     flipped = order[::-1]
-    nf, lf = _scaled([f.values[d] for d in flipped])
-    ng, lg = _scaled([g.values[d] for d in flipped])
-    # Forward totals sit at the positions of r/d; reversing them lines the
-    # product up with `order` for the inverse pass.
-    product = [a * b for a, b in zip(_kronecker(factors, nf), _kronecker(factors, ng))]
-    totals = _kronecker(factors, product[::-1])
-    den = lf * lg * r
-    return EvenFunction(r, {e: _normalise(t, den) for e, t in zip(order, totals)})
+    try:
+        nf, lf = _scaled([f.values[d] for d in flipped])
+        ng, lg = _scaled([g.values[d] for d in flipped])
+        # Forward totals sit at the positions of r/d; reversing them lines
+        # the product up with `order` for the inverse pass.
+        product = [a * b for a, b in zip(_kronecker(factors, nf), _kronecker(factors, ng))]
+        totals = _kronecker(factors, product[::-1])
+        den = lf * lg * r
+        return EvenFunction(r, {e: _normalise(t, den) for e, t in zip(order, totals)})
+    except OverflowError:
+        named = ("value of f at divisor", f.values), ("value of g at divisor", g.values)
+        raise _range_error(*named) from None
 
 
 class IdentityCheck(_Value):

@@ -267,17 +267,32 @@ def load_function(path: str | Path) -> ResidueFunction | EvenFunction:
     return parse_function_text(text)
 
 
-def _payload(obj) -> tuple[int, str, Iterable[int], Iterable[Scalar]]:
-    """Modulus, representation, and the keys (index or divisor) with their values."""
+def _entries(obj) -> tuple[int, str, Iterable[int], Iterable[Scalar], list[str]]:
+    """Modulus, representation, the keys (index or divisor), their values,
+    and each value's text. A value the readers could not take back raises
+    FormatError naming its key."""
     if isinstance(obj, ResidueFunction):
-        return obj.r, "periodic", range(1, obj.r + 1), obj.values
-    if isinstance(obj, PeriodicSpectrum):
-        return obj.r, "periodic", range(1, obj.r + 1), obj.coeffs
-    if isinstance(obj, EvenFunction):
-        return obj.r, "even", obj.values.keys(), obj.values.values()
-    if isinstance(obj, EvenSpectrum):
-        return obj.r, "even", obj.coeffs.keys(), obj.coeffs.values()
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+        r, representation, keys, values = obj.r, "periodic", range(1, obj.r + 1), obj.values
+    elif isinstance(obj, PeriodicSpectrum):
+        r, representation, keys, values = obj.r, "periodic", range(1, obj.r + 1), obj.coeffs
+    elif isinstance(obj, EvenFunction):
+        r, representation, keys, values = obj.r, "even", obj.values.keys(), obj.values.values()
+    elif isinstance(obj, EvenSpectrum):
+        r, representation, keys, values = obj.r, "even", obj.coeffs.keys(), obj.coeffs.values()
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    where = "index" if representation == "periodic" else "divisor"
+    return r, representation, keys, values, [_cell(v, where, k) for k, v in zip(keys, values)]
+
+
+def _json_payload(obj) -> dict:
+    """The JSON form of a function or spectrum, before json.dumps."""
+    r, representation, keys, values, cells = _entries(obj)
+    # ints and floats are native JSON; fractions and complex go as text.
+    items = [c if isinstance(v, (Fraction, complex)) else v for v, c in zip(values, cells)]
+    if representation == "even":
+        items = [{"divisor": d, "value": item} for d, item in zip(keys, items)]
+    return {"modulus": r, "representation": representation, "values": items}
 
 
 def format_function(obj, fmt: str = "text") -> str:
@@ -290,21 +305,14 @@ def format_function(obj, fmt: str = "text") -> str:
     FormatError naming its index or divisor, because the readers could
     not take it back.
     """
-    r, representation, keys, values = _payload(obj)
-    where = "index" if representation == "periodic" else "divisor"
-    cells = [_cell(v, where, k) for k, v in zip(keys, values)]
-    if fmt == "text":
-        if representation == "even":
-            cells = [f"{d} {cell}" for d, cell in zip(keys, cells)]
-        return "\n".join([f"{r} {representation}", *cells]) + "\n"
     if fmt == "json":
-        # ints and floats are native JSON; fractions and complex go as text.
-        items = [c if isinstance(v, (Fraction, complex)) else v for v, c in zip(values, cells)]
-        if representation == "even":
-            items = [{"divisor": d, "value": item} for d, item in zip(keys, items)]
-        payload = {"modulus": r, "representation": representation, "values": items}
-        return json.dumps(payload, indent=2) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+        return json.dumps(_json_payload(obj), indent=2) + "\n"
+    if fmt != "text":
+        raise ValueError(f"unknown format {fmt!r}")
+    r, representation, keys, _, cells = _entries(obj)
+    if representation == "even":
+        cells = [f"{d} {cell}" for d, cell in zip(keys, cells)]
+    return "\n".join([f"{r} {representation}", *cells]) + "\n"
 
 
 def _cell(v: Scalar, where: str, key: int) -> str:

@@ -16,7 +16,8 @@ transform's length, and Rader's kernel is computed at the reduced angle
 g^j mod p, so no angle is taken beyond one turn.
 Exact values (int or Fraction) survive every operation here except the
 DFT pair and the spectral Cauchy route, which are inherently floating;
-those refuse an exact value outside the float range with DomainError.
+those refuse an exact value outside the float range with DomainError,
+and so does every other route where such a value meets a floating one.
 """
 
 from __future__ import annotations
@@ -307,6 +308,28 @@ class PeriodicSpectrum(_Value):
         return self.coeffs[(k - 1) % self.r]
 
 
+def _range_error(*named) -> DomainError:
+    """The DomainError for an OverflowError where exact values met floating ones.
+
+    named holds (where, values) pairs, searched in order; values is a
+    tuple at residues 1..r or a dict keyed by divisor. The error names
+    the first int or Fraction outside the float range by where and its
+    residue or divisor, with its position as index. If every value fits
+    and only an exact sum or product of them overflowed, it says so.
+    Callers catch OverflowError first, so in-range input pays nothing.
+    """
+    for where, values in named:
+        keyed = values.items() if isinstance(values, dict) else enumerate(values, start=1)
+        for i, (key, v) in enumerate(keyed):
+            if isinstance(v, _EXACT_TYPES):
+                try:
+                    float(v)
+                except OverflowError:
+                    message = f"{where} {key} is outside the floating-point range"
+                    return DomainError(message, index=i)
+    return DomainError("exact values mixed with floating ones overflow the floating-point range")
+
+
 def _complex_values(values: tuple, where: str) -> list[complex]:
     """The entries at 1..r as complex numbers, in the order r, 1, ..., r - 1.
 
@@ -316,13 +339,7 @@ def _complex_values(values: tuple, where: str) -> list[complex]:
     try:
         return [complex(values[-1]), *map(complex, values[:-1])]
     except OverflowError:
-        for i, v in enumerate(values):
-            try:
-                complex(v)
-            except OverflowError:
-                message = f"{where} {i + 1} is outside the floating-point range"
-                raise DomainError(message, index=i) from None
-        raise
+        raise _range_error((where, values)) from None
 
 
 def dft(f: ResidueFunction) -> PeriodicSpectrum:
@@ -365,10 +382,15 @@ def idft(spectrum: PeriodicSpectrum) -> ResidueFunction:
 def inner_product_periodic(f: ResidueFunction, g: ResidueFunction) -> Scalar:
     """<f, g> = sum_n f(n) * conj(g(n)); conjugate-linear in g.
 
-    Exact inputs give an exact result.
+    Exact inputs give an exact result. An exact value outside the float
+    range next to a floating one raises DomainError naming f or g.
     """
     _same_modulus(f, g)
-    return sum(fv * _conj(gv) for fv, gv in zip(f.values, g.values))
+    try:
+        return sum(fv * _conj(gv) for fv, gv in zip(f.values, g.values))
+    except OverflowError:
+        named = ("value of f at residue", f.values), ("value of g at residue", g.values)
+        raise _range_error(*named) from None
 
 
 def cauchy_product(f: ResidueFunction, g: ResidueFunction) -> ResidueFunction:
@@ -378,13 +400,19 @@ def cauchy_product(f: ResidueFunction, g: ResidueFunction) -> ResidueFunction:
     Terms a = 1..r read g(n - 1), ..., g(n - r): g reversed and rotated to
     start at g(n - 1), so one sum(map(mul, ...)) adds the same products in
     the same order as a loop over a, and floats come out bit-identical.
+    An exact value outside the float range next to a floating one raises
+    DomainError naming f or g.
     """
     _same_modulus(f, g)
     r = f.r
     # Residue m sits at index r - m of g reversed (residue r, i.e. 0, at 0).
     twice = g.values[::-1] * 2
     windows = (twice[r + 1 - n : 2 * r + 1 - n] for n in range(1, r + 1))
-    return ResidueFunction(r, (sum(map(mul, f.values, w)) for w in windows))
+    try:
+        return ResidueFunction(r, (sum(map(mul, f.values, w)) for w in windows))
+    except OverflowError:
+        named = ("value of f at residue", f.values), ("value of g at residue", g.values)
+        raise _range_error(*named) from None
 
 
 def cauchy_product_spectral(f: ResidueFunction, g: ResidueFunction) -> ResidueFunction:
@@ -410,17 +438,22 @@ def cauchy_product_spectral(f: ResidueFunction, g: ResidueFunction) -> ResidueFu
 def even_witness(f: ResidueFunction, tol: float = EVENNESS_TOL) -> int | None:
     """First residue with f(n) != f(gcd(n, r)), or None when f is even.
 
-    Exact values compare exactly; floating values within tol.
+    Exact values compare exactly; floating values within tol. An exact
+    value outside the float range next to a floating one raises
+    DomainError naming its residue.
     """
     exact = f.is_exact
-    for n in range(1, f.r + 1):
-        a = f.values[n - 1]
-        b = f.values[gcd(n, f.r) - 1]
-        if exact:
-            if a != b:
+    try:
+        for n in range(1, f.r + 1):
+            a = f.values[n - 1]
+            b = f.values[gcd(n, f.r) - 1]
+            if exact:
+                if a != b:
+                    return n
+            elif not abs(a - b) <= tol:
                 return n
-        elif not abs(a - b) <= tol:
-            return n
+    except OverflowError:
+        raise _range_error(("value at residue", f.values)) from None
     return None
 
 

@@ -5,7 +5,15 @@ from pathlib import Path
 
 import ramfourier.cli as cli
 import ramfourier.even as even_mod
-from ramfourier import divisors, parse_function_text
+from ramfourier import (
+    cauchy_product,
+    cauchy_product_spectral,
+    divisors,
+    format_function,
+    format_scalar,
+    load_function,
+    parse_function_text,
+)
 from ramfourier.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -14,6 +22,11 @@ FIXTURES = Path(__file__).parent / "fixtures"
 # with exit 2 and a message under ERR_MAX bytes.
 HUGE_PERIODIC = f"2 periodic\n1\n{'7' * 4000}\n"
 HUGE_EVEN = f"1 even\n1 {'7' * 2500}\n"
+# The same huge value next to floats: one file mixes them, and FLOAT_EVEN
+# mixes with HUGE_EVEN across the two inputs of cauchy.
+MIXED_EVEN = f"2 even\n1 1.5\n2 {'7' * 2500}\n"
+MIXED_PERIODIC = f"3 periodic\n1.5\n1.5\n{'7' * 2500}\n"
+FLOAT_EVEN = "1 even\n1 1.5\n"
 ERR_MAX = 300
 
 TABLE4 = (
@@ -193,15 +206,23 @@ class TestTransform:
 
     def test_values_past_the_float_range_exit_2(self, capsys, tmp_path):
         path = tmp_path / "f.txt"
-        for text, direction, message in (
-            (HUGE_PERIODIC, "forward", "value at residue 2 is outside the floating-point range"),
-            (HUGE_PERIODIC, "inverse", "coefficient at k = 2 is outside the floating-point range"),
-            (HUGE_EVEN, "forward", "value at residue 1 is outside the floating-point range"),
+        for text, kind, direction, where in (
+            (HUGE_PERIODIC, "dft", "forward", "value at residue 2"),
+            (HUGE_PERIODIC, "dft", "inverse", "coefficient at k = 2"),
+            (HUGE_EVEN, "dft", "forward", "value at residue 1"),
+            # Next to a float, the exact route refuses it too.
+            (MIXED_EVEN, "rft", "forward", "value at divisor 2"),
+            (MIXED_EVEN, "rft", "inverse", "coefficient at divisor 2"),
+            (MIXED_PERIODIC, "rft", "forward", "value at divisor 3"),
+            (MIXED_PERIODIC, "rft", "inverse", "coefficient at divisor 3"),
+            # Residue 2 is compared with residue 1 in the evenness test.
+            (f"3 periodic\n{'7' * 2500}\n1.5\n1\n", "rft", "forward", "value at residue 1"),
         ):
             path.write_text(text)
-            argv = ["transform", "--kind", "dft", "--direction", direction, path]
+            argv = ["transform", "--kind", kind, "--direction", direction, path]
             code, out, err = run(argv, capsys)
-            assert (code, out) == (2, "") and err.startswith(f"error: {message}")
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: {where} is outside the floating-point range")
             assert len(err.encode()) < ERR_MAX
 
     def test_missing_file(self, capsys, tmp_path):
@@ -293,19 +314,33 @@ class TestCauchy:
             assert err.startswith(f"error: cannot write value at {where}: ")
 
     def test_values_past_the_float_range_exit_2(self, capsys, tmp_path):
-        even, periodic = tmp_path / "even.txt", tmp_path / "periodic.txt"
-        small = tmp_path / "small.txt"
-        even.write_text(HUGE_EVEN)
-        periodic.write_text(HUGE_PERIODIC)
-        small.write_text("2 periodic\n1\n2\n")
-        for f, g, extra, where in (
-            (even, even, [], "f at residue 1"),
-            (periodic, periodic, [], "f at residue 2"),
-            (periodic, periodic, ["--check"], "f at residue 2"),
-            (small, periodic, [], "g at residue 2"),
+        files = {}
+        for name, text in (
+            ("even", HUGE_EVEN),
+            ("periodic", HUGE_PERIODIC),
+            ("small", "2 periodic\n1\n2\n"),
+            ("mixed", MIXED_EVEN),
+            ("mixed_periodic", MIXED_PERIODIC),
+            ("float", FLOAT_EVEN),
         ):
-            argv = ["cauchy", f, g, "--method", "spectral", *extra]
-            code, out, err = run(argv, capsys)
+            files[name] = tmp_path / f"{name}.txt"
+            files[name].write_text(text)
+        spectral = ["--method", "spectral"]
+        for f, g, extra, where in (
+            ("even", "even", spectral, "f at residue 1"),
+            ("periodic", "periodic", spectral, "f at residue 2"),
+            ("periodic", "periodic", [*spectral, "--check"], "f at residue 2"),
+            ("small", "periodic", spectral, "g at residue 2"),
+            # Next to a float, in one file or across f and g, every route refuses it.
+            ("mixed", "mixed", [], "f at divisor 2"),
+            ("mixed", "mixed", ["--method", "even", "--check"], "f at divisor 2"),
+            ("mixed", "mixed", ["--method", "naive", "--format", "json"], "f at residue 2"),
+            ("mixed_periodic", "mixed_periodic", ["--check"], "f at residue 3"),
+            ("float", "even", ["--format", "json"], "g at divisor 1"),
+            ("even", "float", ["--method", "even"], "f at divisor 1"),
+            ("float", "even", ["--method", "naive", "--check"], "g at residue 1"),
+        ):
+            code, out, err = run(["cauchy", files[f], files[g], *extra], capsys)
             assert (code, out) == (2, "")
             assert err == f"error: value of {where} is outside the floating-point range\n"
 
@@ -386,6 +421,28 @@ class TestCauchy:
         assert code == 0
         payload = json.loads(out)
         assert payload["max_discrepancy"] == "0"
+        assert payload["check_passed"] is True
+
+    def test_naive_check_runs_the_spectral_route(self, capsys):
+        # The spectral partner gives floats, so even no discrepancy reads
+        # as a float, never as the exact 0 of two exact routes.
+        pair = [FIXTURES / "ind1_mod4.txt", FIXTURES / "c2row4.txt"]
+        f, g = (load_function(path) for path in pair)
+        exact = cauchy_product(f, g).values
+        spectral = cauchy_product_spectral(f, g).values
+        diffs = [abs(a - b) for a, b in zip(exact, spectral)]
+        worst = max(diffs)
+        at = diffs.index(worst) + 1
+        argv = ["cauchy", *pair, "--method", "naive", "--check"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        header = f"# max discrepancy: {format_scalar(worst)} (at n={at})\n"
+        assert out == header + format_function(cauchy_product(f, g))
+        code, out, _ = run([*argv, "--format", "json"], capsys)
+        payload = json.loads(out)
+        assert code == 0 and payload["values"] == list(exact)
+        assert payload["max_discrepancy"] == format_scalar(worst)
+        assert payload["max_discrepancy_at"] == at
         assert payload["check_passed"] is True
 
 

@@ -78,9 +78,19 @@ class TestEvenFunction:
                 with pytest.raises(DomainError) as info:
                     cls(4, values)
                 assert str(info.value) == message and info.value.index == index
+                # Any iterable of pairs reads as the same pairs in a list.
+                if isinstance(values, list):
+                    with pytest.raises(DomainError) as info:
+                        cls(4, (pair for pair in values))
+                    assert str(info.value) == message and info.value.index == index
 
     def test_values_are_read_only_in_divisor_order(self):
-        for values in ({4: 4, 1: 1, 2: 2}, [(2, 2), (4, 4), (1, 1)]):
+        for values in (
+            {4: 4, 1: 1, 2: 2},
+            [(2, 2), (4, 4), (1, 1)],
+            zip((2, 4, 1), (2, 4, 1)),
+            iter([(4, 4), (2, 2), (1, 1)]),
+        ):
             f = EvenFunction(4, values)
             assert f == GCD4 and list(f.values) == [1, 2, 4]
             assert isinstance(f.values, dict)
@@ -455,6 +465,41 @@ class TestCauchyProductEven:
     def test_modulus_mismatch(self):
         with pytest.raises(DomainError):
             cauchy_product_even(GCD4, EvenFunction(6, {d: 0 for d in divisors(6)}))
+
+
+HUGE = 10**400  # past the float range
+
+
+class TestFloatRange:
+    """An exact value past the float range next to a floating one raises
+    DomainError naming its divisor, and f or g for two arguments."""
+
+    def test_transforms_name_the_divisor(self):
+        with pytest.raises(DomainError, match="^value at divisor 2 is outside ") as info:
+            rft(EvenFunction(4, {1: 0.5, 2: HUGE, 4: -HUGE}))
+        assert info.value.index == 1
+        spectrum = EvenSpectrum(4, {1: 0.5, 2: 1, 4: Fraction(-HUGE, 3)})
+        with pytest.raises(DomainError, match="^coefficient at divisor 4 is outside ") as info:
+            irft(spectrum)
+        assert info.value.index == 2
+
+    def test_two_argument_routes_name_f_or_g(self):
+        small, huge = EvenFunction(2, {1: 1.5, 2: 2}), EvenFunction(2, {1: 1, 2: HUGE})
+        mixed = EvenFunction(2, {1: 1.5, 2: HUGE})
+        cases = (((small, huge), "g"), ((huge, small), "f"), ((mixed, huge), "f"))
+        for route in (cauchy_product_even, inner_product_even):
+            for args, name in cases:
+                with pytest.raises(DomainError) as info:
+                    route(*args)
+                assert str(info.value) == (
+                    f"value of {name} at divisor 2 is outside the floating-point range"
+                )
+
+    def test_exact_input_stays_exact(self):
+        f = EvenFunction(2, {1: HUGE, 2: -HUGE})
+        assert irft(rft(f)) == f
+        assert cauchy_product_even(f, f).values == {1: -2 * HUGE**2, 2: 2 * HUGE**2}
+        assert inner_product_even(f, f) == 2 * HUGE**2
 
 
 class TestVerifyOrthogonality:

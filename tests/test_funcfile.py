@@ -160,6 +160,9 @@ TEXT_ERRORS = {
     "huge periodic modulus": (f"{BIG} periodic\n1\n", 1, "expected <integer of 4000 digits> "),
     "negative modulus": (f"-{BIG} even\n1 1\n", 1, "modulus must be >= 1, got -<integer of"),
     "huge divisor": (f"4 even\n1 1\n{BIG} 2\n", 3, "<integer of 4000 digits> does not divide 4"),
+    "header field count": ("\n4 even 1\n", 2, "header must be '<modulus> <periodic|even>'"),
+    "periodic line of two": ("2 periodic\n1\n2 3\n", 3, "periodic lines hold a single value"),
+    "even line of one": ("2 even\n1 1\n2\n", 3, "even lines are '<divisor> <value>'"),
 }
 
 
@@ -211,6 +214,12 @@ JSON_ERRORS = {
         "values",
         "expected <integer of 4000 digits> values, found 1",
     ),
+    "boolean value": (_json("periodic", [1, True, 3, 4]), "values[1]", "booleans are not"),
+    "non-scalar value": (_json("periodic", [1, 2, [3], 4]), "values[2]", "expected a number or"),
+    "bad even item": (_json("even", [{"divisor": 1}]), "values[0]", "expected {'divisor'"),
+    # These two messages have no 'field <where>: ' prefix.
+    "top level": ("[1, 2]", None, "top level must be an object"),
+    "values not an array": (_json("periodic", {"1": 1}), None, "field 'values' must be an array"),
 }
 
 
@@ -219,7 +228,7 @@ def test_json_errors_name_their_field(case):
     text, field, message = JSON_ERRORS[case]
     with pytest.raises(FormatError) as info:
         parse_function_json(text)
-    assert str(info.value).startswith(f"field {field}: {message}")
+    assert str(info.value).startswith(message if field is None else f"field {field}: {message}")
     assert len(str(info.value)) < MESSAGE_MAX
 
 

@@ -128,6 +128,13 @@ class TestResidueFunction:
         assert not ResidueFunction(2, (1, 0.5)).is_exact
 
 
+class TestPeriodicSpectrum:
+    def test_periodic_evaluation(self):
+        # Index r stands in for k = 0, and coefficients repeat with period r.
+        spectrum = PeriodicSpectrum(3, (1j, 2, 3.5))
+        assert [spectrum(k) for k in range(-3, 7)] == [3.5, 1j, 2] * 3 + [3.5]
+
+
 class TestDft:
     def test_constant(self):
         spectrum = dft(ResidueFunction(4, (1, 1, 1, 1)))
@@ -413,6 +420,35 @@ class TestFloatRange:
             messages.add(str(info.value))
         # The message says which argument holds the value.
         assert len(messages) == 2
+
+    def test_mixed_routes_name_the_value(self):
+        # An exact value past the float range next to a floating one.
+        small, mixed = ResidueFunction(2, (1.5, 2)), ResidueFunction(2, (0.5, HUGE))
+        for route in (cauchy_product, inner_product_periodic):
+            for args, name in (((small, mixed), "g"), ((mixed, small), "f")):
+                with pytest.raises(DomainError) as info:
+                    route(*args)
+                assert str(info.value) == (
+                    f"value of {name} at residue 2 is outside the floating-point range"
+                )
+                assert info.value.index == 1
+        # Residue 2 is compared with residue 1, a float.
+        with pytest.raises(DomainError, match="^value at residue 1 is outside ") as info:
+            even_witness(ResidueFunction(3, (-Fraction(HUGE, 3), 0.5, 1)))
+        assert info.value.index == 0
+
+    def test_an_exact_sum_past_the_float_range_is_named_as_such(self):
+        # Each value fits a float, but their exact product does not.
+        f = ResidueFunction(2, (10**200, 0.5))
+        for route in (cauchy_product, inner_product_periodic):
+            with pytest.raises(DomainError, match="^exact values mixed with floating ones"):
+                route(f, f)
+
+    def test_exact_and_float_input_stay_unchanged(self):
+        f = ResidueFunction(2, (HUGE, HUGE))
+        assert cauchy_product(f, f).values == (2 * HUGE**2, 2 * HUGE**2)
+        assert inner_product_periodic(f, f) == 2 * HUGE**2
+        assert even_witness(ResidueFunction(3, (HUGE, 1, 1))) == 2
 
     def test_a_huge_fraction_near_one_converts(self):
         spectrum = dft(ResidueFunction(1, (Fraction(HUGE + 1, HUGE),)))
