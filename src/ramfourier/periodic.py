@@ -10,10 +10,11 @@ turns its stage into a cyclic convolution of length p - 1. `_convolve`
 is the one cyclic convolution, and the spectral Cauchy product uses it
 too: a length n with no prime factor above the cutoff runs at n, any
 other at the least power of two >= 2n - 1, so it never recurses. It
-batches its rows, so all columns of a Rader stage share its three
+batches its rows, so all columns of a Rader stage share its two
 transforms. Twiddles are read by stride from the `_roots` table of the
-transform's length, and Rader's kernel is computed at the reduced angle
-g^j mod p, so no angle is taken beyond one turn.
+transform's length. Rader's kernel is computed at the reduced angle
+g^j mod p, so no angle is taken beyond one turn, and its transform is
+cached per prime in `_rader_plan`.
 Exact values (int or Fraction) survive every operation here except the
 DFT pair and the spectral Cauchy route, which are inherently floating;
 those refuse an exact value outside the float range with DomainError,
@@ -144,26 +145,17 @@ def _rader_stage(x: list, y: list, s: int, t: int, m: int, p: int, roots) -> Non
     C(a(l)) = c(0) + sum over i + j = -l (mod p - 1) of
     c(a(i)) exp(2*pi*i*g^j/p): c(0) plus entry l of the cyclic sums
     `_convolve` computes. Every column of the stage goes through one
-    call, so the kernel is computed and transformed once, at the reduced
-    angle g^j mod p. Nothing is cached per prime.
+    call, against the kernel spectrum that `_rader_plan` caches per p.
     """
     sm = s * m
-    g_inv = pow(_primitive_root(p), -1, p)
-    order = [1]  # a(i)
-    for _ in range(p - 2):
-        order.append(order[-1] * g_inv % p)
-    v = [cmath.exp(2j * pi * (order[-j] / p)) for j in range(p - 1)]  # g^j = a(-j)
-    slot = [0] * p  # slot[a(l)] = l
-    for l, a in enumerate(order):
-        slot[a] = l
-    gather, scatter = itemgetter(*order), itemgetter(*slot[1:])
+    gather, scatter, v_hat = _rader_plan(p)
     # Column c = q + s*k holds x[c + a*s*m], a = 0..p-1; _convolve takes
     # the gathered columns interleaved, column c's entry i at c + sm*i.
     cols = [x[c::sm] for c in range(sm)]
     z = [0j] * (sm * (p - 1))
     for c, col in enumerate(cols):
         z[c::sm] = gather(col)
-    h = _convolve(z, v, sm)
+    h = _convolve(z, v_hat, sm)
     for c, col in enumerate(cols):
         k, q = divmod(c, s)
         out = [sum(col), *map(add, scatter(h[c::sm]), repeat(col[0]))]
@@ -172,18 +164,37 @@ def _rader_stage(x: list, y: list, s: int, t: int, m: int, p: int, roots) -> Non
         y[q + s * p * k : q + s * p * (k + 1) : s] = out
 
 
-def _convolve(z: list[complex], v: list[complex], rows: int = 1) -> list[complex]:
-    """h(l) = sum over i + j = -l (mod n) of u(i) v(j), l = 0..n-1, for each
-    of `rows` interleaved rows u(i) = z[c + rows*i], n = len(v): the cyclic
-    convolution of u and v read at -l. Row c's h(l) lands at c + rows*l.
+@lru_cache(maxsize=16)
+def _rader_plan(p: int) -> tuple:
+    """What a Rader stage of prime radix p needs, built once per p: the
+    gather of a column's entries at a(i) = g^-i mod p, i = 0..p-2, the
+    scatter of the convolution's entries l to a(l), and the kernel
+    exp(2*pi*i*g^j/p), computed at the reduced angle g^j mod p and
+    transformed by `_kernel_spectrum`.
 
-    Three transforms: v's, once per call, and the rows' there and back,
-    batched. A 13-smooth n runs them at length n; any other n at the least
-    power of two, size, >= 2n - 1, with the rows padded by zeros and v
-    laid out as (v(0), zeros, v(2..n-1), v(0..n-1)): its entry at
-    -m mod size is then v(-m mod n) for every m = i + j <= 2n - 2. So
-    nothing recurses into another convolution. z and v are used as
-    scratch.
+    An entry holds about 146 KB at p = 1021 and 7.6 MB at p = 65521; at
+    most 16 are kept.
+    """
+    g_inv = pow(_primitive_root(p), -1, p)
+    order = [1]  # a(i)
+    for _ in range(p - 2):
+        order.append(order[-1] * g_inv % p)
+    v = [cmath.exp(2j * pi * (order[-j] / p)) for j in range(p - 1)]  # g^j = a(-j)
+    slot = [0] * p  # slot[a(l)] = l
+    for l, a in enumerate(order):
+        slot[a] = l
+    return itemgetter(*order), itemgetter(*slot[1:]), _kernel_spectrum(v)
+
+
+def _kernel_spectrum(v: list[complex]) -> tuple[complex, ...]:
+    """The transform of the kernel v of a cyclic convolution of length
+    n = len(v), at the convolution's size and scaled by 1/size.
+
+    A 13-smooth n convolves at n; any other n at the least power of two,
+    size, >= 2n - 1, with v laid out as (v(0), zeros, v(2..n-1),
+    v(0..n-1)): its entry at -m mod size is then v(-m mod n) for every
+    m = i + j <= 2n - 2. So nothing recurses into another convolution.
+    v is used as scratch.
     """
     n = len(v)
     if all(q <= _DIRECT_MAX for q, _ in factorize(n)):
@@ -191,9 +202,22 @@ def _convolve(z: list[complex], v: list[complex], rows: int = 1) -> list[complex
     else:
         size = 1 << (2 * n - 2).bit_length()
         v = [v[0], *repeat(0j, size - 2 * n + 1), *v[2:], *v]
-        z += repeat(0j, rows * (size - n))
     # Forward transforms all three ways give size * h(l); v's takes the 1/size.
-    v_hat = [a / size for a in _transform(v)]
+    return tuple(a / size for a in _transform(v))
+
+
+def _convolve(z: list[complex], v_hat: tuple[complex, ...], rows: int = 1) -> list[complex]:
+    """h(l) = sum over i + j = -l (mod n) of u(i) v(j), l = 0..n-1, for each
+    of `rows` interleaved rows u(i) = z[c + rows*i], n = len(z) / rows: the
+    cyclic convolution of u and v read at -l, with v_hat =
+    `_kernel_spectrum(v)`. Row c's h(l) lands at c + rows*l.
+
+    Two transforms, the rows' there and back, batched at v_hat's length,
+    with the rows padded by zeros when that exceeds n. z is used as
+    scratch.
+    """
+    n, size = len(z) // rows, len(v_hat)
+    z += repeat(0j, rows * (size - n))
     z = _transform(z, rows)
     for c in range(rows):
         z[c::rows] = map(mul, z[c::rows], v_hat)
@@ -357,9 +381,9 @@ def dft(f: ResidueFunction) -> PeriodicSpectrum:
     stayed below 4.2 over 400 inputs at each r <= 64, 3000 at each of
     19, 37, 109 and 163, 10 at each r <= 256 and at each benchmark
     prime, and 3 at each r < 700. The worst, 4.15, was at r = 163, whose
-    Rader stage takes three transforms of length 162 where a smooth
-    length takes one; with Bluestein's chirp-z for these factors it had
-    stayed below 2.3.
+    Rader stage takes three transforms of length 162 (one of them the
+    kernel's, cached per prime) where a smooth length takes one; with
+    Bluestein's chirp-z for these factors it had stayed below 2.3.
     """
     # F(k) = G(-k) for the transform G of the residues 0..r-1.
     g = _transform(_complex_values(f.values, "value at residue"))
@@ -432,7 +456,7 @@ def cauchy_product_spectral(f: ResidueFunction, g: ResidueFunction) -> ResidueFu
     a = _complex_values(f.values, "value of f at residue")
     b = _complex_values(g.values, "value of g at residue")
     # h(l) is the product at -l, so residues 1..r read h backwards.
-    return ResidueFunction(f.r, _convolve(a, b)[::-1])
+    return ResidueFunction(f.r, _convolve(a, _kernel_spectrum(b))[::-1])
 
 
 def even_witness(f: ResidueFunction, tol: float = EVENNESS_TOL) -> int | None:

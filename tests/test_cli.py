@@ -344,6 +344,21 @@ class TestCauchy:
             assert (code, out) == (2, "")
             assert err == f"error: value of {where} is outside the floating-point range\n"
 
+    def test_check_refuses_an_exact_product_past_the_float_range(self, capsys, tmp_path):
+        # 10**200 fits a float but its square does not: the exact route gives
+        # 10**400, which the floating route's value cannot be compared with.
+        big = tmp_path / "big.txt"
+        big.write_text(f"1 periodic\n{10**200}\n")
+        for method in ("naive", "spectral"):
+            for fmt in ("text", "json"):
+                argv = ["cauchy", big, big, "--method", method, "--check", "--format", fmt]
+                code, out, err = run(argv, capsys)
+                assert (code, out) == (2, "")
+                assert err == (
+                    "error: cannot check: exact product at n = 1 "
+                    "is outside the floating-point range\n"
+                )
+
     def test_tolerance_must_be_finite_and_non_negative(self, capsys):
         pair = [FIXTURES / "gcd4.txt", FIXTURES / "const4.txt"]
         commands = (

@@ -360,7 +360,7 @@ class TestKroneckerCore:
             ]
         assert {arith_mod.factorize, arith_mod.divisors} <= set(caches)
         assert {arith_mod.mobius, arith_mod.euler_phi} <= set(caches)
-        assert periodic_mod._roots in caches
+        assert {periodic_mod._roots, periodic_mod._rader_plan} <= set(caches)
         assert even_mod._layout in caches and ramanujan_mod._coprime_residues in caches
         for cache in caches:
             assert cache.cache_info().maxsize is not None, cache.__name__

@@ -224,9 +224,24 @@ def spy_on_transform(monkeypatch) -> list:
 def test_rader_convolves_once_at_a_smooth_p_minus_1(monkeypatch, r, inner):
     # 640 = 2^7 * 5, so the prime 641 convolves at 640, never near 2 * 641;
     # 184 = 8 * 23 convolves all 8 columns of its 23-point stage in one call.
+    # A cold plan transforms the kernel too; a cached one saves that transform.
+    f = random_complex_function(r, random.Random(36))
+    periodic_mod._rader_plan.cache_clear()
     lengths = spy_on_transform(monkeypatch)
-    dft(random_complex_function(r, random.Random(36)))
+    dft(f)
     assert sorted(lengths) == [inner, inner, inner, r]
+    lengths.clear()
+    dft(f)
+    assert sorted(lengths) == [inner, inner, r]
+
+
+@pytest.mark.parametrize("r", [131, 184, 289, 641, 1021])
+def test_cached_rader_plans_give_identical_outputs(r):
+    f = random_complex_function(r, random.Random(r))
+    for transform, arg in ((dft, f), (idft, PeriodicSpectrum(r, f.values))):
+        periodic_mod._rader_plan.cache_clear()
+        cold = transform(arg)
+        assert transform(arg) == cold, (transform.__name__, r)
 
 
 class TestStatedErrorBound:
@@ -288,6 +303,18 @@ def test_roots_cache_holds_the_benchmark_moduli():
     for f in functions:
         dft(f)
     assert periodic_mod._roots.cache_info().misses == misses
+
+
+def test_rader_plan_cache_holds_the_benchmark_moduli():
+    # A second pass over the 24 moduli must find the plan of each of the
+    # nine primes cached.
+    functions = [ResidueFunction(r, (1.0,) * r) for r in BENCH_MODULI]
+    for f in functions:
+        dft(f)
+    misses = periodic_mod._rader_plan.cache_info().misses
+    for f in functions:
+        dft(f)
+    assert periodic_mod._rader_plan.cache_info().misses == misses
 
 
 def test_dft_injective_via_linearity():
