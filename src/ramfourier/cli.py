@@ -9,8 +9,8 @@ Subcommands:
 All subcommands accept --format text|json and --tolerance (used by
 floating comparisons only). Exit status: 0 when everything requested
 succeeded, 1 when a requested check failed, 2 on usage or input errors.
-Input errors include an exact value too large for floating point on a
-floating route, or next to a floating value on any route.
+Boundary rule: the library routes refuse bad input behind one decorator,
+`periodic._route`; `cmd_cauchy` adds two checks of its own, marked there.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ _CAUCHY = {
 def cmd_cauchy(args) -> int:
     f = load_function(args.f)
     g = load_function(args.g)
-    _same_modulus(f, g)
+    _same_modulus(f, g)  # before even input is expanded to r residues
     both_even = isinstance(f, EvenFunction) and isinstance(g, EvenFunction)
     method = args.method
     if method == "auto":

@@ -17,9 +17,9 @@ is one prefix sum: at most tau(r) * sum(a_i + 1) multiply-adds in all,
 no kernel table and nothing of size r. Exact input is scaled once to
 integers over the lcm of its denominators, and every route divides once
 at the end, giving an int wherever the denominator is 1. Input that
-mixes exact and floating values runs in floating point, and an exact
-value there outside the float range raises DomainError naming its
-divisor, and f or g for the two-argument routes.
+mixes exact and floating values runs in floating point. Boundary rule:
+the routes run behind `periodic._route`, as the periodic ones do, and
+name the divisor (and f or g) of an exact value past the float range.
 
 `rft_naive` keeps the defining r-term sum as a slow reference, and
 `verify_rft_dft_bridge` ties the fast route to the floating DFT.
@@ -48,8 +48,7 @@ from .periodic import (
     Scalar,
     _conj,
     _non_finite,
-    _range_error,
-    _same_modulus,
+    _route,
     _Value,
     cauchy_product,
     dft,
@@ -215,6 +214,7 @@ class EvenFunction(_Value):
     """
 
     __slots__ = ("r", "values")
+    _label = ("value", "divisor")
     r: int
     values: dict[int, Scalar]
 
@@ -236,6 +236,7 @@ class EvenSpectrum(_Value):
     kept as `EvenFunction.values` is."""
 
     __slots__ = ("r", "coeffs")
+    _label = ("coefficient", "divisor")
     r: int
     coeffs: dict[int, Scalar]
 
@@ -278,6 +279,7 @@ def to_periodic(e: EvenFunction) -> ResidueFunction:
     return ResidueFunction(r, tuple(e.values[gcd(n, r)] for n in range(1, r + 1)))
 
 
+@_route
 def rft(f: EvenFunction) -> EvenSpectrum:
     """Transform coefficients of f, in either of two equal forms:
 
@@ -293,10 +295,7 @@ def rft(f: EvenFunction) -> EvenSpectrum:
     r = f.r
     factors, order = _layout(r)
     flipped = order[::-1]
-    try:
-        nums, den = _scaled([f.values[d] for d in flipped])
-    except OverflowError:
-        raise _range_error(("value at divisor", f.values)) from None
+    nums, den = _scaled([f.values[d] for d in flipped])
     totals = _kronecker(factors, nums)
     return EvenSpectrum(r, {d: _normalise(t, den) for d, t in zip(flipped, totals)})
 
@@ -319,6 +318,7 @@ def rft_naive(f: EvenFunction) -> EvenSpectrum:
 rft_divisor_form = rft
 
 
+@_route
 def irft(spectrum: EvenSpectrum) -> EvenFunction:
     """Inverse transform: f(e) = r^{-1} sum_{d | r} R(d) C(e, d).
 
@@ -327,14 +327,12 @@ def irft(spectrum: EvenSpectrum) -> EvenFunction:
     """
     r = spectrum.r
     factors, order = _layout(r)
-    try:
-        nums, den = _scaled([spectrum.coeffs[d] for d in order])
-    except OverflowError:
-        raise _range_error(("coefficient at divisor", spectrum.coeffs)) from None
+    nums, den = _scaled([spectrum.coeffs[d] for d in order])
     totals = _kronecker(factors, nums)
     return EvenFunction(r, {e: _normalise(t, den * r) for e, t in zip(order, totals)})
 
 
+@_route
 def inner_product_even(f: EvenFunction, g: EvenFunction) -> Scalar:
     """<f, g> on divisor data: sum_{d | r} f(d) conj(g(d)) phi(r/d).
 
@@ -342,19 +340,15 @@ def inner_product_even(f: EvenFunction, g: EvenFunction) -> Scalar:
     because phi(r/d) residues share each divisor value. Exact input runs
     on integers and divides once, so an integral result is an int.
     """
-    _same_modulus(f, g)
     r = f.r
     divs = divisors(r)
-    try:
-        nf, lf = _scaled([f.values[d] for d in divs])
-        ng, lg = _scaled([_conj(g.values[d]) for d in divs])
-        total = sum(a * b * euler_phi(r // d) for a, b, d in zip(nf, ng, divs))
-        return _normalise(total, lf * lg)
-    except OverflowError:
-        named = ("value of f at divisor", f.values), ("value of g at divisor", g.values)
-        raise _range_error(*named) from None
+    nf, lf = _scaled([f.values[d] for d in divs])
+    ng, lg = _scaled([_conj(g.values[d]) for d in divs])
+    total = sum(a * b * euler_phi(r // d) for a, b, d in zip(nf, ng, divs))
+    return _normalise(total, lf * lg)
 
 
+@_route
 def cauchy_product_even(f: EvenFunction, g: EvenFunction) -> EvenFunction:
     """Cauchy product of two even functions, computed spectrally.
 
@@ -364,22 +358,17 @@ def cauchy_product_even(f: EvenFunction, g: EvenFunction) -> EvenFunction:
     r times both common denominators. Agrees with the naive double sum
     on the expansions.
     """
-    _same_modulus(f, g)
     r = f.r
     factors, order = _layout(r)
     flipped = order[::-1]
-    try:
-        nf, lf = _scaled([f.values[d] for d in flipped])
-        ng, lg = _scaled([g.values[d] for d in flipped])
-        # Forward totals sit at the positions of r/d; reversing them lines
-        # the product up with `order` for the inverse pass.
-        product = [a * b for a, b in zip(_kronecker(factors, nf), _kronecker(factors, ng))]
-        totals = _kronecker(factors, product[::-1])
-        den = lf * lg * r
-        return EvenFunction(r, {e: _normalise(t, den) for e, t in zip(order, totals)})
-    except OverflowError:
-        named = ("value of f at divisor", f.values), ("value of g at divisor", g.values)
-        raise _range_error(*named) from None
+    nf, lf = _scaled([f.values[d] for d in flipped])
+    ng, lg = _scaled([g.values[d] for d in flipped])
+    # Forward totals sit at the positions of r/d; reversing them lines
+    # the product up with `order` for the inverse pass.
+    product = [a * b for a, b in zip(_kronecker(factors, nf), _kronecker(factors, ng))]
+    totals = _kronecker(factors, product[::-1])
+    den = lf * lg * r
+    return EvenFunction(r, {e: _normalise(t, den) for e, t in zip(order, totals)})
 
 
 class IdentityCheck(_Value):

@@ -288,7 +288,8 @@ def _entries(obj) -> tuple[int, str, Iterable[int], Iterable[Scalar], list[str]]
 def _json_payload(obj) -> dict:
     """The JSON form of a function or spectrum, before json.dumps."""
     r, representation, keys, values, cells = _entries(obj)
-    # ints and floats are native JSON; fractions and complex go as text.
+    # ints, floats and integral fractions are native JSON; the rest go as text.
+    values = [v.numerator if isinstance(v, Fraction) and v.denominator == 1 else v for v in values]
     items = [c if isinstance(v, (Fraction, complex)) else v for v, c in zip(values, cells)]
     if representation == "even":
         items = [{"divisor": d, "value": item} for d, item in zip(keys, items)]

@@ -16,16 +16,17 @@ transform's length. Rader's kernel is computed at the reduced angle
 g^j mod p, so no angle is taken beyond one turn, and its transform is
 cached per prime in `_rader_plan`.
 Exact values (int or Fraction) survive every operation here except the
-DFT pair and the spectral Cauchy route, which are inherently floating;
-those refuse an exact value outside the float range with DomainError,
-and so does every other route where such a value meets a floating one.
+DFT pair and the spectral Cauchy route, which are inherently floating.
+Boundary rule: every public route here and in `even` runs behind
+`_route`, which refuses unequal moduli and an exact value past the float
+range where it meets a floating one, naming its position and f or g.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import repeat
 from math import gcd, pi
 from operator import add, itemgetter, mul, sub
@@ -296,6 +297,7 @@ class ResidueFunction(_Value):
     """A function on residues mod r, stored as its values at n = 1..r."""
 
     __slots__ = ("r", "values")
+    _label = ("value", "residue")
     r: int
     values: tuple[Scalar, ...]
 
@@ -321,6 +323,7 @@ class PeriodicSpectrum(_Value):
     """Transform coefficients at k = 1..r, index r standing in for k = 0."""
 
     __slots__ = ("r", "coeffs")
+    _label = ("coefficient", "k =")
     r: int
     coeffs: tuple[Scalar, ...]
 
@@ -354,18 +357,36 @@ def _range_error(*named) -> DomainError:
     return DomainError("exact values mixed with floating ones overflow the floating-point range")
 
 
-def _complex_values(values: tuple, where: str) -> list[complex]:
-    """The entries at 1..r as complex numbers, in the order r, 1, ..., r - 1.
+def _route(fn):
+    """fn behind the boundary rule above. A value object's last field is named
+    by its class's (noun, position) `_label`, and of two, by parameter too."""
+    params = fn.__code__.co_varnames[: fn.__code__.co_argcount]
 
-    An int or Fraction outside the float range raises DomainError naming
-    the first such position, before any transform work.
-    """
-    try:
-        return [complex(values[-1]), *map(complex, values[:-1])]
-    except OverflowError:
-        raise _range_error((where, values)) from None
+    @wraps(fn)
+    def route(*args, **kwargs):
+        given = dict(zip(params, args), **kwargs)
+        inputs = [(p, given[p]) for p in params if isinstance(given.get(p), _Value)]
+        of = " of {}" if len(inputs) == 2 else ""
+        if of:
+            _same_modulus(inputs[0][1], inputs[1][1])
+        try:
+            return fn(*args, **kwargs)
+        except OverflowError:
+            named = [
+                (f"{v._label[0]}{of.format(p)} at {v._label[1]}", v._fields()[-1])
+                for p, v in inputs
+            ]
+            raise _range_error(*named) from None
+
+    return route
 
 
+def _complex_values(values: tuple) -> list[complex]:
+    """The entries at 1..r as complex numbers, in the order r, 1, ..., r - 1."""
+    return [complex(values[-1]), *map(complex, values[:-1])]
+
+
+@_route
 def dft(f: ResidueFunction) -> PeriodicSpectrum:
     """Fourier coefficients F(k) = sum_n f(n) exp(-2*pi*i*k*n/r), k = 1..r.
 
@@ -382,14 +403,14 @@ def dft(f: ResidueFunction) -> PeriodicSpectrum:
     19, 37, 109 and 163, 10 at each r <= 256 and at each benchmark
     prime, and 3 at each r < 700. The worst, 4.15, was at r = 163, whose
     Rader stage takes three transforms of length 162 (one of them the
-    kernel's, cached per prime) where a smooth length takes one; with
-    Bluestein's chirp-z for these factors it had stayed below 2.3.
+    kernel's, cached per prime) where a smooth length takes one.
     """
     # F(k) = G(-k) for the transform G of the residues 0..r-1.
-    g = _transform(_complex_values(f.values, "value at residue"))
+    g = _transform(_complex_values(f.values))
     return PeriodicSpectrum(f.r, tuple(reversed(g)))
 
 
+@_route
 def idft(spectrum: PeriodicSpectrum) -> ResidueFunction:
     """Inverse transform: f(n) = (1/r) sum_k F(k) exp(2*pi*i*k*n/r).
 
@@ -398,25 +419,22 @@ def idft(spectrum: PeriodicSpectrum) -> ResidueFunction:
     ||f' - f||_2 <= 5 eps log2(r) ||F||_2 / sqrt(r).
     """
     r = spectrum.r
-    g = _transform(_complex_values(spectrum.coeffs, "coefficient at k ="))
+    g = _transform(_complex_values(spectrum.coeffs))
     g.append(g[0])
     return ResidueFunction(r, tuple(v / r for v in g[1:]))
 
 
+@_route
 def inner_product_periodic(f: ResidueFunction, g: ResidueFunction) -> Scalar:
     """<f, g> = sum_n f(n) * conj(g(n)); conjugate-linear in g.
 
-    Exact inputs give an exact result. An exact value outside the float
-    range next to a floating one raises DomainError naming f or g.
+    Exact inputs give an exact result. Mixed input past the float range
+    is refused at the boundary.
     """
-    _same_modulus(f, g)
-    try:
-        return sum(fv * _conj(gv) for fv, gv in zip(f.values, g.values))
-    except OverflowError:
-        named = ("value of f at residue", f.values), ("value of g at residue", g.values)
-        raise _range_error(*named) from None
+    return sum(fv * _conj(gv) for fv, gv in zip(f.values, g.values))
 
 
+@_route
 def cauchy_product(f: ResidueFunction, g: ResidueFunction) -> ResidueFunction:
     """(f o g)(n) = sum over a = 1..r of f(a) g(n - a), indices mod r.
 
@@ -424,21 +442,16 @@ def cauchy_product(f: ResidueFunction, g: ResidueFunction) -> ResidueFunction:
     Terms a = 1..r read g(n - 1), ..., g(n - r): g reversed and rotated to
     start at g(n - 1), so one sum(map(mul, ...)) adds the same products in
     the same order as a loop over a, and floats come out bit-identical.
-    An exact value outside the float range next to a floating one raises
-    DomainError naming f or g.
+    Mixed input past the float range is refused at the boundary.
     """
-    _same_modulus(f, g)
     r = f.r
     # Residue m sits at index r - m of g reversed (residue r, i.e. 0, at 0).
     twice = g.values[::-1] * 2
     windows = (twice[r + 1 - n : 2 * r + 1 - n] for n in range(1, r + 1))
-    try:
-        return ResidueFunction(r, (sum(map(mul, f.values, w)) for w in windows))
-    except OverflowError:
-        named = ("value of f at residue", f.values), ("value of g at residue", g.values)
-        raise _range_error(*named) from None
+    return ResidueFunction(r, (sum(map(mul, f.values, w)) for w in windows))
 
 
+@_route
 def cauchy_product_spectral(f: ResidueFunction, g: ResidueFunction) -> ResidueFunction:
     """Cauchy product through the transform domain, where coefficients
     multiply: one `_convolve` of f's values with g's.
@@ -448,36 +461,32 @@ def cauchy_product_spectral(f: ResidueFunction, g: ResidueFunction) -> ResidueFu
     With eps = 2**-53 the result h' satisfies
     ||h' - h||_2 <= 5 eps log2(r) sqrt(r) ||f||_2 ||g||_2, measured as
     `dft`'s bound is: it stayed below 3.9 over 30 inputs at each r <= 64,
-    the worst at r = 3. An exact value outside the float range raises
-    DomainError naming f or g.
+    the worst at r = 3. An exact value past the float range is refused
+    at the boundary.
     """
-    _same_modulus(f, g)
     # Both lists hold the residues in the order 0, 1, ..., r - 1.
-    a = _complex_values(f.values, "value of f at residue")
-    b = _complex_values(g.values, "value of g at residue")
+    a = _complex_values(f.values)
+    b = _complex_values(g.values)
     # h(l) is the product at -l, so residues 1..r read h backwards.
     return ResidueFunction(f.r, _convolve(a, _kernel_spectrum(b))[::-1])
 
 
+@_route
 def even_witness(f: ResidueFunction, tol: float = EVENNESS_TOL) -> int | None:
     """First residue with f(n) != f(gcd(n, r)), or None when f is even.
 
-    Exact values compare exactly; floating values within tol. An exact
-    value outside the float range next to a floating one raises
-    DomainError naming its residue.
+    Exact values compare exactly; floating values within tol. Mixed
+    input past the float range is refused at the boundary.
     """
     exact = f.is_exact
-    try:
-        for n in range(1, f.r + 1):
-            a = f.values[n - 1]
-            b = f.values[gcd(n, f.r) - 1]
-            if exact:
-                if a != b:
-                    return n
-            elif not abs(a - b) <= tol:
+    for n in range(1, f.r + 1):
+        a = f.values[n - 1]
+        b = f.values[gcd(n, f.r) - 1]
+        if exact:
+            if a != b:
                 return n
-    except OverflowError:
-        raise _range_error(("value at residue", f.values)) from None
+        elif not abs(a - b) <= tol:
+            return n
     return None
 
 

@@ -438,6 +438,20 @@ class TestCauchy:
         assert payload["max_discrepancy"] == "0"
         assert payload["check_passed"] is True
 
+    def test_json_writes_integral_fractions_as_numbers(self, capsys, tmp_path):
+        # The direct sum of halves gives Fraction(1), written as the even route's 1.
+        periodic, even = tmp_path / "periodic.txt", tmp_path / "even.txt"
+        periodic.write_text("4 periodic\n1/2\n1/2\n1/2\n1/2\n")
+        even.write_text("4 even\n1 1/2\n2 1/2\n4 1/2\n")
+        values = []
+        for path in (periodic, even):
+            code, out, _ = run(["cauchy", path, path, "--format", "json"], capsys)
+            assert code == 0
+            values.append(json.loads(out)["values"])
+        assert values[0] == [1, 1, 1, 1]
+        assert values[1] == [{"divisor": d, "value": 1} for d in (1, 2, 4)]
+        assert run(["cauchy", periodic, periodic], capsys)[1] == "4 periodic\n1\n1\n1\n1\n"
+
     def test_naive_check_runs_the_spectral_route(self, capsys):
         # The spectral partner gives floats, so even no discrepancy reads
         # as a float, never as the exact 0 of two exact routes.

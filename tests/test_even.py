@@ -494,6 +494,7 @@ class TestFloatRange:
                 assert str(info.value) == (
                     f"value of {name} at divisor 2 is outside the floating-point range"
                 )
+                assert info.value.index == 1
 
     def test_exact_input_stays_exact(self):
         f = EvenFunction(2, {1: HUGE, 2: -HUGE})

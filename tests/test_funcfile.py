@@ -294,6 +294,14 @@ class TestFormatClosure:
         for obj in objects:
             assert parse_function_json(format_function(obj, "json")) == obj
 
+    def test_json_writes_an_integral_fraction_as_an_integer(self):
+        obj = ResidueFunction(3, (Fraction(4, 2), Fraction(1, 2), 3))
+        payload = json.loads(format_function(obj, "json"))
+        assert payload["values"] == [2, "1/2", 3]
+        assert type(payload["values"][0]) is int
+        assert format_function(obj) == "3 periodic\n2\n1/2\n3\n"
+        assert parse_function_json(format_function(obj, "json")) == obj
+
     def test_spectra_serialize_under_matching_representation(self):
         periodic = format_function(PeriodicSpectrum(2, (1 + 0j, 0j)))
         assert periodic.startswith("2 periodic\n")

@@ -1,5 +1,6 @@
 """Tests for the package's public namespace."""
 
+import inspect
 import os
 import re
 import subprocess
@@ -36,6 +37,28 @@ def test_cli_import_skips_dataclasses_and_inspect():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_routes_keep_their_signatures():
+    # The boundary decorator passes every argument through unchanged.
+    routes = {
+        periodic.dft: ["f"],
+        periodic.idft: ["spectrum"],
+        even.rft: ["f"],
+        even.irft: ["spectrum"],
+        periodic.cauchy_product: ["f", "g"],
+        periodic.cauchy_product_spectral: ["f", "g"],
+        even.cauchy_product_even: ["f", "g"],
+        periodic.inner_product_periodic: ["f", "g"],
+        even.inner_product_even: ["f", "g"],
+        periodic.even_witness: ["f", "tol"],
+    }
+    for route, params in routes.items():
+        signature = inspect.signature(route)
+        assert signature == inspect.signature(route.__wrapped__), route.__name__
+        assert list(signature.parameters) == params, route.__name__
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in signature.parameters.values())
+    assert inspect.signature(periodic.even_witness).parameters["tol"].default == 1e-12
 
 
 def test_readme_quick_start_runs():

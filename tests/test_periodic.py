@@ -482,7 +482,32 @@ class TestFloatRange:
         assert spectrum.coeffs == (1 + 0j,)
 
 
+class TestRouteBoundary:
+    """The boundary every route shares holds however its arguments are passed."""
+
+    def test_keywords_pass_through(self):
+        f = ResidueFunction(3, (1.0, 1.25, 1.0))
+        assert even_witness(f, tol=0.5) is None
+        assert even_witness(f=f, tol=0.1) == 2
+        a, b = ResidueFunction(2, (1, 2)), ResidueFunction(2, (3, 4))
+        assert cauchy_product(g=b, f=a) == cauchy_product(a, g=b) == cauchy_product(a, b)
+
+    def test_keywords_keep_the_names_f_and_g(self):
+        small, mixed = ResidueFunction(2, (1.5, 2)), ResidueFunction(2, (0.5, HUGE))
+        for route in (cauchy_product, cauchy_product_spectral, inner_product_periodic):
+            with pytest.raises(DomainError, match="^value of g at residue 2 ") as info:
+                route(g=mixed, f=small)
+            assert info.value.index == 1
+            with pytest.raises(DomainError, match="^modulus mismatch: 2 != 3$"):
+                route(g=ResidueFunction(3, (1, 1, 1)), f=small)
+
+
 class TestCauchyProductSpectral:
+    def test_modulus_mismatch(self):
+        with pytest.raises(DomainError) as info:
+            cauchy_product_spectral(ResidueFunction(2, (1, 1)), ResidueFunction(3, (1, 1, 1)))
+        assert str(info.value) == "modulus mismatch: 2 != 3"
+
     def test_agrees_with_naive(self):
         cases = [
             (ResidueFunction(4, (1, 0, 0, 0)), ResidueFunction(4, (0, 1, 0, 0))),
