@@ -2,6 +2,8 @@
 
 Everything here is plain integer arithmetic on Python ints, so values
 never overflow or round. The only limit is the factorization cap below.
+`factorize` and `is_prime` share one trial-division scan, `_prime_powers`:
+`is_prime` stops at its first prime factor.
 """
 
 from __future__ import annotations
@@ -29,20 +31,34 @@ FACTORIZE_CAP = 2**50
 _CACHE_SIZE = 4096
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
+def _prime_powers(n: int):
+    """Yield (p, e) for each prime power p^e exactly dividing n >= 1, p
+    increasing: the one trial-division scan, by 2 and 3, then 6k - 1 and
+    6k + 1 up to the square root of what is left."""
+    for p in (2, 3):
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            yield p, e
     f = 5
     while f * f <= n:
-        if n % f == 0 or n % (f + 2) == 0:
-            return False
+        for p in (f, f + 2):
+            if n % p == 0:
+                e = 0
+                while n % p == 0:
+                    n //= p
+                    e += 1
+                yield p, e
         f += 6
-    return True
+    if n > 1:
+        yield n, 1
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic trial-division primality test."""
+    return n >= 2 and next(_prime_powers(n)) == (n, 1)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -57,28 +73,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
         raise DomainError(f"factorize is defined for n >= 1, got {_int_text(n)}")
     if n > FACTORIZE_CAP:
         raise CapacityError(f"factorize is capped at n <= 2**50, got {_int_text(n)}")
-    factors = []
-    m = n
-    for p in (2, 3):
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            factors.append((p, e))
-    f = 5
-    while f * f <= m:
-        for p in (f, f + 2):
-            if m % p == 0:
-                e = 0
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                factors.append((p, e))
-        f += 6
-    if m > 1:
-        factors.append((m, 1))
-    return tuple(factors)
+    return tuple(_prime_powers(n))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

@@ -9,8 +9,11 @@ Subcommands:
 All subcommands accept --format text|json and --tolerance (used by
 floating comparisons only). Exit status: 0 when everything requested
 succeeded, 1 when a requested check failed, 2 on usage or input errors.
-Boundary rule: the library routes refuse bad input behind one decorator,
-`periodic._route`; `cmd_cauchy` adds two checks of its own, marked there.
+Each `cmd_*` returns its exit status and its whole output text, and
+`main` writes stdout once, after the subcommand has built all of it, so
+a refused run leaves stdout empty. Boundary rule: the library routes
+refuse bad input behind one decorator, `periodic._route`; `cmd_cauchy`
+adds two checks of its own, marked there.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ def _format_table(divs, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_csum(args) -> int:
+def cmd_csum(args) -> tuple[int, str]:
     if args.table:
         if len(args.values) != 1:
             raise DomainError("csum --table takes exactly one argument: r")
@@ -77,22 +80,18 @@ def cmd_csum(args) -> int:
         divs = divisors(r)
         rows = [[ramanujan_sum(r // e, d) for d in divs] for e in divs]
         if args.format == "json":
-            print(json.dumps({"r": r, "divisors": divs, "table": rows}, indent=2))
-        else:
-            sys.stdout.write(_format_table(divs, rows))
-        return 0
+            return 0, json.dumps({"r": r, "divisors": divs, "table": rows}, indent=2) + "\n"
+        return 0, _format_table(divs, rows)
     if len(args.values) != 2:
         raise DomainError("csum takes two arguments: n and r")
     n, r = args.values
     value = ramanujan_sum(n, r)
     if args.format == "json":
-        print(json.dumps({"n": n, "r": r, "value": value}))
-    else:
-        print(value)
-    return 0
+        return 0, json.dumps({"n": n, "r": r, "value": value}) + "\n"
+    return 0, f"{value}\n"
 
 
-def cmd_transform(args) -> int:
+def cmd_transform(args) -> tuple[int, str]:
     obj = load_function(args.input)
     tol = args.tolerance if args.tolerance is not None else EVENNESS_TOL
     if args.kind == "rft":
@@ -109,8 +108,7 @@ def cmd_transform(args) -> int:
             result = dft(obj)
         else:
             result = idft(PeriodicSpectrum(obj.r, obj.values))
-    sys.stdout.write(format_function(result, args.format))
-    return 0
+    return 0, format_function(result, args.format)
 
 
 # Each method's route, and the independent route its --check compares
@@ -122,7 +120,7 @@ _CAUCHY = {
 }
 
 
-def cmd_cauchy(args) -> int:
+def cmd_cauchy(args) -> tuple[int, str]:
     f = load_function(args.f)
     g = load_function(args.g)
     _same_modulus(f, g)  # before even input is expanded to r residues
@@ -153,15 +151,13 @@ def cmd_cauchy(args) -> int:
         tol = args.tolerance if args.tolerance is not None else DEFAULT_FLOAT_TOL
         check = {"max_discrepancy": shown, "max_discrepancy_at": at, "check_passed": worst <= tol}
 
-    # Format before printing anything, so a FormatError leaves stdout empty.
     if args.format == "json":
         text = json.dumps(_json_payload(product) | check, indent=2) + "\n"
     else:
         text = format_function(product)
         if check:
             text = f"# max discrepancy: {shown} (at n={at})\n{text}"
-    sys.stdout.write(text)
-    return 0 if check.get("check_passed", True) else 1
+    return (0 if check.get("check_passed", True) else 1), text
 
 
 def _random_even(r: int, rng: random.Random) -> EvenFunction:
@@ -180,7 +176,7 @@ _SUITES = {
 }
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, str]:
     if args.rmax < 1:
         raise DomainError(f"--rmax must be >= 1, got {_int_text(args.rmax)}")
     suites = list(_SUITES) if args.suite == "all" else [args.suite]
@@ -219,8 +215,7 @@ def cmd_verify(args) -> int:
         else:
             lines.append(f"all {len(results)} checks passed")
         text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    return 1 if failed else 0
+    return (1 if failed else 0), text
 
 
 def _integer(text: str) -> int:
@@ -330,7 +325,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code, text = args.func(args)
+        sys.stdout.write(text)
+        return code
     except (DomainError, CapacityError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

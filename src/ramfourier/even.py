@@ -89,8 +89,9 @@ _CACHE_SIZE = 64
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _layout(r: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
-    """The prime powers of r, and its divisors in mixed-radix order.
+def _layout(r: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...], tuple[int, ...]]:
+    """The prime powers of r, its divisors in mixed-radix order, and that
+    order reversed.
 
     Position sum_i k_i * stride_i holds prod_i p_i^k_i, with the first
     prime's exponent the most significant digit. The reversed order holds
@@ -100,7 +101,7 @@ def _layout(r: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
     order = [1]
     for p, a in reversed(factors):
         order = [p**k * e for k in range(a + 1) for e in order]
-    return factors, tuple(order)
+    return factors, tuple(order), tuple(reversed(order))
 
 
 def _kronecker(factors: tuple[tuple[int, int], ...], x: list) -> list:
@@ -293,13 +294,13 @@ def rft(f: EvenFunction) -> EvenSpectrum:
     integers and divides once.
     """
     r = f.r
-    factors, order = _layout(r)
-    flipped = order[::-1]
+    factors, _, flipped = _layout(r)
     nums, den = _scaled([f.values[d] for d in flipped])
     totals = _kronecker(factors, nums)
     return EvenSpectrum(r, {d: _normalise(t, den) for d, t in zip(flipped, totals)})
 
 
+@_route
 def rft_naive(f: EvenFunction) -> EvenSpectrum:
     """Reference transform by the defining r-term sums.
 
@@ -326,7 +327,7 @@ def irft(spectrum: EvenSpectrum) -> EvenFunction:
     division by r (times the common denominator of exact input).
     """
     r = spectrum.r
-    factors, order = _layout(r)
+    factors, order, _ = _layout(r)
     nums, den = _scaled([spectrum.coeffs[d] for d in order])
     totals = _kronecker(factors, nums)
     return EvenFunction(r, {e: _normalise(t, den * r) for e, t in zip(order, totals)})
@@ -359,8 +360,7 @@ def cauchy_product_even(f: EvenFunction, g: EvenFunction) -> EvenFunction:
     on the expansions.
     """
     r = f.r
-    factors, order = _layout(r)
-    flipped = order[::-1]
+    factors, order, flipped = _layout(r)
     nf, lf = _scaled([f.values[d] for d in flipped])
     ng, lg = _scaled([g.values[d] for d in flipped])
     # Forward totals sit at the positions of r/d; reversing them lines

@@ -41,8 +41,8 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import CapacityError, DomainError, FormatError, _int_text
-from .even import EvenFunction, EvenSpectrum
-from .periodic import PeriodicSpectrum, ResidueFunction, Scalar, _non_finite
+from .even import EvenFunction
+from .periodic import ResidueFunction, Scalar, _non_finite
 
 __all__ = [
     "format_scalar",
@@ -269,20 +269,18 @@ def load_function(path: str | Path) -> ResidueFunction | EvenFunction:
 
 def _entries(obj) -> tuple[int, str, Iterable[int], Iterable[Scalar], list[str]]:
     """Modulus, representation, the keys (index or divisor), their values,
-    and each value's text. A value the readers could not take back raises
+    and each value's text. The entries are a value object's last field,
+    as `periodic._route` reads it: a tuple at residues 1..r, or a dict
+    keyed by divisor. A value the readers could not take back raises
     FormatError naming its key."""
-    if isinstance(obj, ResidueFunction):
-        r, representation, keys, values = obj.r, "periodic", range(1, obj.r + 1), obj.values
-    elif isinstance(obj, PeriodicSpectrum):
-        r, representation, keys, values = obj.r, "periodic", range(1, obj.r + 1), obj.coeffs
-    elif isinstance(obj, EvenFunction):
-        r, representation, keys, values = obj.r, "even", obj.values.keys(), obj.values.values()
-    elif isinstance(obj, EvenSpectrum):
-        r, representation, keys, values = obj.r, "even", obj.coeffs.keys(), obj.coeffs.values()
-    else:
+    if not hasattr(obj, "_label"):
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-    where = "index" if representation == "periodic" else "divisor"
-    return r, representation, keys, values, [_cell(v, where, k) for k, v in zip(keys, values)]
+    values = obj._fields()[-1]
+    if isinstance(values, dict):
+        representation, where, keys, values = "even", "divisor", values.keys(), values.values()
+    else:
+        representation, where, keys = "periodic", "index", range(1, obj.r + 1)
+    return obj.r, representation, keys, values, [_cell(v, where, k) for k, v in zip(keys, values)]
 
 
 def _json_payload(obj) -> dict:

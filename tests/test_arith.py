@@ -88,6 +88,12 @@ class TestFactorize:
         assert divs[:4] == (1, 2, 3, 4) and divs[-1] == n
         assert all(a < b and n % a == 0 for a, b in zip(divs, divs[1:]))
 
+    def test_is_prime_agrees_with_factorize(self):
+        # One scan serves both, so a prime is exactly an n with the
+        # factorization ((n, 1),); the semiprime scans to its smaller factor.
+        for n in [*range(1, 10**5), 1000003 * 1000033]:
+            assert is_prime(n) == (factorize(n) == ((n, 1),)), n
+
 
 class TestDivisors:
     def test_one(self):

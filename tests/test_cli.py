@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 import ramfourier.cli as cli
 import ramfourier.even as even_mod
 from ramfourier import (
@@ -572,3 +574,50 @@ def test_over_long_option_tokens_give_short_messages(capsys):
         assert (code, out) == (2, "")
         assert where in err and quoted in err
         assert len(err.encode()) < ERR_MAX
+
+
+class _Stdout:
+    """A stand-in for sys.stdout that records each write, or refuses it."""
+
+    def __init__(self, error=None):
+        self.writes, self.error = [], error
+
+    def write(self, text):
+        if self.error is not None:
+            raise self.error
+        self.writes.append(text)
+        return len(text)
+
+
+class TestOneWrite:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["csum", "2", "4"],
+            ["csum", "--table", "4", "--format", "json"],
+            ["transform", "--kind", "rft", FIXTURES / "gcd4.txt"],
+            ["transform", "--kind", "dft", FIXTURES / "const4.txt", "--format", "json"],
+            ["cauchy", "--check", FIXTURES / "gcd4.txt", FIXTURES / "gcd4.txt"],
+            ["verify", "--suite", "symmetry", "--rmax", "4", "--format", "json"],
+        ],
+        ids=["csum", "csum-table", "transform-rft", "transform-dft", "cauchy-check", "verify"],
+    )
+    def test_a_successful_run_writes_stdout_once(self, argv, monkeypatch):
+        stdout = _Stdout()
+        monkeypatch.setattr(cli.sys, "stdout", stdout)
+        assert main([str(a) for a in argv]) == 0
+        assert len(stdout.writes) == 1 and stdout.writes[0].endswith("\n")
+
+    def test_a_run_refused_after_computing_writes_nothing(self, capsys, monkeypatch, tmp_path):
+        big = tmp_path / "big.txt"
+        big.write_text("2 periodic\n1e308\n1e308\n")
+        stdout = _Stdout()
+        monkeypatch.setattr(cli.sys, "stdout", stdout)
+        assert main(["transform", "--kind", "dft", str(big)]) == 2
+        assert stdout.writes == []
+        assert "non-finite value inf+0j at index 2" in capsys.readouterr().err
+
+    def test_a_broken_pipe_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.sys, "stdout", _Stdout(BrokenPipeError(32, "Broken pipe")))
+        assert main(["csum", "2", "4"]) == 2
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"

@@ -483,6 +483,13 @@ class TestFloatRange:
             irft(spectrum)
         assert info.value.index == 2
 
+    def test_both_forward_routes_give_one_message(self):
+        for route in (rft, rft_naive):
+            with pytest.raises(DomainError) as info:
+                route(EvenFunction(2, {1: 0.5, 2: HUGE}))
+            assert str(info.value) == "value at divisor 2 is outside the floating-point range"
+            assert info.value.index == 1
+
     def test_two_argument_routes_name_f_or_g(self):
         small, huge = EvenFunction(2, {1: 1.5, 2: 2}), EvenFunction(2, {1: 1, 2: HUGE})
         mixed = EvenFunction(2, {1: 1.5, 2: HUGE})
