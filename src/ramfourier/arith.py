@@ -92,6 +92,16 @@ def divisors(r: int) -> tuple[int, ...]:
     return tuple(sorted(divs))
 
 
+def _gcd_classes(r: int) -> list[int]:
+    """gcd(n, r) at index n - 1 for n = 1..r, by a divisor sieve: each
+    divisor d of r, in increasing order, writes d at every multiple of d,
+    so the last value written at n is gcd(n, r). Not cached: it is r long."""
+    classes = [1] * r
+    for d in divisors(r)[1:]:
+        classes[d - 1 :: d] = [d] * (r // d)
+    return classes
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def mobius(n: int) -> int:
     """Mobius function: 0 on non-squarefree n, else (-1)^(number of primes)."""

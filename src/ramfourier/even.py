@@ -39,7 +39,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Callable
 
-from .arith import divisors, euler_phi, factorize
+from .arith import _gcd_classes, divisors, euler_phi, factorize
 from .errors import CapacityError, DomainError, NotEvenError, _int_text
 from .periodic import (
     _EXACT_TYPES,
@@ -275,9 +275,10 @@ def from_periodic(f: ResidueFunction, tol: float = EVENNESS_TOL) -> EvenFunction
 
 
 def to_periodic(e: EvenFunction) -> ResidueFunction:
-    """Expand divisor values to the full residue range via n -> gcd(n, r)."""
-    r = e.r
-    return ResidueFunction(r, tuple(e.values[gcd(n, r)] for n in range(1, r + 1)))
+    """Expand divisor values to the full residue range, f(n) = f(gcd(n, r)),
+    reading gcd(n, r) for every n from the one divisor sieve,
+    `arith._gcd_classes`."""
+    return ResidueFunction(e.r, map(e.values.__getitem__, _gcd_classes(e.r)))
 
 
 @_route

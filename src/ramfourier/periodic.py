@@ -27,12 +27,12 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache, wraps
-from itertools import repeat
-from math import gcd, pi
-from operator import add, itemgetter, mul, sub
+from itertools import compress, count, repeat
+from math import pi
+from operator import add, itemgetter, mul, ne, sub
 from typing import Callable, Union
 
-from .arith import factorize
+from .arith import _gcd_classes, factorize
 from .errors import DomainError, _int_text
 
 __all__ = [
@@ -475,19 +475,18 @@ def cauchy_product_spectral(f: ResidueFunction, g: ResidueFunction) -> ResidueFu
 def even_witness(f: ResidueFunction, tol: float = EVENNESS_TOL) -> int | None:
     """First residue with f(n) != f(gcd(n, r)), or None when f is even.
 
-    Exact values compare exactly; floating values within tol. Mixed
-    input past the float range is refused at the boundary.
+    gcd(n, r) comes from the one divisor sieve, `arith._gcd_classes`, and
+    the residues are compared lazily in increasing order, so the first
+    witness ends the scan. Exact values compare exactly; floating values
+    within tol. Mixed input past the float range is refused at the
+    boundary.
     """
-    exact = f.is_exact
-    for n in range(1, f.r + 1):
-        a = f.values[n - 1]
-        b = f.values[gcd(n, f.r) - 1]
-        if exact:
-            if a != b:
-                return n
-        elif not abs(a - b) <= tol:
-            return n
-    return None
+    at_gcd = map((f.values[-1], *f.values).__getitem__, _gcd_classes(f.r))  # f at 0..r
+    if f.is_exact:
+        differs = map(ne, f.values, at_gcd)
+    else:
+        differs = (not abs(a - b) <= tol for a, b in zip(f.values, at_gcd))
+    return next(compress(count(1), differs), None)
 
 
 def is_even(f: ResidueFunction, tol: float = EVENNESS_TOL) -> bool:
