@@ -3,7 +3,10 @@
 Everything here is plain integer arithmetic on Python ints, so values
 never overflow or round. The only limit is the factorization cap below.
 `factorize` and `is_prime` share one trial-division scan, `_prime_powers`:
-`is_prime` stops at its first prime factor.
+`is_prime` stops at its first prime factor. `_gcd_classes` is the one
+divisor sieve for gcd(n, r) at every residue n = 1..r, the classes of
+the paper's f(n) = f(gcd(n, r)); `even.to_periodic` and
+`periodic.even_witness` read it instead of calling gcd per residue.
 """
 
 from __future__ import annotations

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import sys
 from fractions import Fraction
@@ -48,6 +47,7 @@ from .periodic import (
     EVENNESS_TOL,
     PeriodicSpectrum,
     ResidueFunction,
+    _check_tol,
     _range_error,
     _same_modulus,
     cauchy_product,
@@ -227,14 +227,14 @@ def _integer(text: str) -> int:
 
 
 def _tolerance(text: str) -> float:
-    # NaN would pass every check, inf any discrepancy, and a negative value none.
     try:
         tol = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {_quote(text)}") from None
-    if not 0 <= tol < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {_quote(text)}")
-    return tol
+    try:
+        return _check_tol(tol)
+    except DomainError:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {_quote(text)}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

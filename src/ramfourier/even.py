@@ -46,6 +46,7 @@ from .periodic import (
     EVENNESS_TOL,
     ResidueFunction,
     Scalar,
+    _check_tol,
     _conj,
     _non_finite,
     _route,
@@ -460,8 +461,10 @@ def verify_rft_dft_bridge(f: EvenFunction, tol: float = BRIDGE_TOL) -> Verificat
     size of f: it is at most 5 eps log2(r) sqrt(r) ||f||_2 (see `dft`).
     For f with large values pass a tol scaled to match; the default
     1e-8 holds with wide margin for values of modest size at desk-scale
-    r, such as the acceptance inputs (|f(d)| <= 12, r <= 128).
+    r, such as the acceptance inputs (|f(d)| <= 12, r <= 128). A tol
+    that is NaN, negative or infinite raises DomainError.
     """
+    _check_tol(tol)
     r = f.r
     divs = divisors(r)
     dft_at = dft(to_periodic(f)).coeffs

@@ -64,7 +64,7 @@ _CLASSES = {"periodic": ResidueFunction, "even": EvenFunction}
 def format_scalar(v: Scalar) -> str:
     """Canonical text for one scalar value."""
     if isinstance(v, int):
-        return str(v)
+        return str(int(v))  # a bool as the int it equals, which parses back
     if isinstance(v, Fraction):
         if v.denominator == 1:
             return str(v.numerator)
@@ -286,8 +286,12 @@ def _entries(obj) -> tuple[int, str, Iterable[int], Iterable[Scalar], list[str]]
 def _json_payload(obj) -> dict:
     """The JSON form of a function or spectrum, before json.dumps."""
     r, representation, keys, values, cells = _entries(obj)
-    # ints, floats and integral fractions are native JSON; the rest go as text.
-    values = [v.numerator if isinstance(v, Fraction) and v.denominator == 1 else v for v in values]
+    # ints, floats and integral fractions are native JSON, and a bool goes
+    # as the int it equals (JSON's true is no scalar); the rest go as text.
+    values = [
+        v.numerator if isinstance(v, (bool, Fraction)) and v.denominator == 1 else v
+        for v in values
+    ]
     items = [c if isinstance(v, (Fraction, complex)) else v for v, c in zip(values, cells)]
     if representation == "even":
         items = [{"divisor": d, "value": item} for d, item in zip(keys, items)]

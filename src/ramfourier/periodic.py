@@ -28,7 +28,7 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache, wraps
 from itertools import compress, count, repeat
-from math import pi
+from math import inf, pi
 from operator import add, itemgetter, mul, ne, sub
 from typing import Callable, Union
 
@@ -233,6 +233,15 @@ def _non_finite(v: Scalar) -> bool:
     # ints and Fractions are always finite, and cmath.isfinite would
     # overflow converting a huge one.
     return isinstance(v, (float, complex)) and not cmath.isfinite(v)
+
+
+def _check_tol(tol: float) -> float:
+    """tol when it is finite and >= 0, the one test every tolerance meets:
+    NaN would pass every comparison, inf any difference, and a negative
+    tol none. Anything else raises DomainError."""
+    if not 0 <= tol < inf:
+        raise DomainError(f"tol must be finite and >= 0, got {tol!r}")
+    return tol
 
 
 def _same_modulus(f, g):
@@ -478,9 +487,10 @@ def even_witness(f: ResidueFunction, tol: float = EVENNESS_TOL) -> int | None:
     gcd(n, r) comes from the one divisor sieve, `arith._gcd_classes`, and
     the residues are compared lazily in increasing order, so the first
     witness ends the scan. Exact values compare exactly; floating values
-    within tol. Mixed input past the float range is refused at the
-    boundary.
+    within tol, which must be finite and >= 0. Mixed input past the
+    float range is refused at the boundary.
     """
+    _check_tol(tol)
     at_gcd = map((f.values[-1], *f.values).__getitem__, _gcd_classes(f.r))  # f at 0..r
     if f.is_exact:
         differs = map(ne, f.values, at_gcd)

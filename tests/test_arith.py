@@ -128,6 +128,22 @@ class TestDivisors:
         assert all(n % d == 0 for d in divs)
 
 
+class TestGcdClasses:
+    """The divisor sieve behind to_periodic and even_witness."""
+
+    def test_matches_gcd_at_every_modulus_to_2000(self):
+        for r in range(1, 2001):
+            assert arith_mod._gcd_classes(r) == [gcd(n, r) for n in range(1, r + 1)], r
+
+    def test_matches_gcd_at_720720(self):
+        r = 720720
+        assert arith_mod._gcd_classes(r) == [gcd(n, r) for n in range(1, r + 1)]
+
+    def test_keeps_nothing_between_calls(self):
+        assert not hasattr(arith_mod._gcd_classes, "cache_info")
+        assert arith_mod._gcd_classes(12) is not arith_mod._gcd_classes(12)
+
+
 class TestGcd:
     def test_examples(self):
         assert gcd(4, 6) == 2

@@ -32,6 +32,7 @@ from ramfourier import (
     cauchy_product_even,
     divisors,
     euler_phi,
+    even_witness,
     from_periodic,
     inner_product_even,
     inner_product_periodic,
@@ -144,6 +145,15 @@ class TestConversions:
             assert "is not a finite value" in str(info.value)
             assert "differs" not in str(info.value)
 
+    def test_from_periodic_refuses_a_bad_tolerance(self):
+        f = ResidueFunction(2, (1.0, 1.0))
+        for tol in (float("nan"), -1.0, float("inf")):
+            with pytest.raises(DomainError, match="^tol must be finite and >= 0") as info:
+                from_periodic(f, tol=tol)
+            # The tolerance is refused as such, not reported as a witness.
+            assert type(info.value) is DomainError
+        assert from_periodic(f, tol=0) == EvenFunction(2, {1: 1.0, 2: 1.0})
+
     def test_from_periodic_rejects_uneven(self):
         with pytest.raises(NotEvenError) as info:
             from_periodic(ResidueFunction(3, (1, 2, 3)))
@@ -162,6 +172,81 @@ class TestConversions:
         for r in (1, 2, 12, 36):
             e = random_even(r, rng)
             assert from_periodic(to_periodic(e)) == e
+
+
+def oracle_to_periodic(e):
+    """`to_periodic` as it was before the divisor sieve: one gcd per residue."""
+    r = e.r
+    return ResidueFunction(r, tuple(e.values[gcd(n, r)] for n in range(1, r + 1)))
+
+
+def oracle_even_witness(f, tol=periodic_mod.EVENNESS_TOL):
+    """`even_witness` as it was before the divisor sieve."""
+    exact = f.is_exact
+    for n in range(1, f.r + 1):
+        a = f.values[n - 1]
+        b = f.values[gcd(n, f.r) - 1]
+        if exact:
+            if a != b:
+                return n
+        elif not abs(a - b) <= tol:
+            return n
+    return None
+
+
+def _draw(kind, rng):
+    if kind == "int":
+        return rng.randint(-9, 9)
+    if kind == "fraction":
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    if kind == "complex":
+        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    if kind == "nan" and rng.random() < 0.2:
+        return float("nan")
+    return rng.uniform(-1, 1)
+
+
+class TestGcdClassMap:
+    """to_periodic and even_witness read gcd(n, r) from one divisor sieve
+    and agree with their earlier gcd-per-residue bodies."""
+
+    @pytest.mark.parametrize("kind", ["int", "fraction", "float", "complex", "nan"])
+    def test_agrees_with_the_gcd_loops_at_every_r_to_200(self, kind):
+        rng = random.Random(kind)
+        for r in range(1, 201):
+            e = EvenFunction(r, {d: _draw(kind, rng) for d in divisors(r)})
+            p, want = to_periodic(e), oracle_to_periodic(e)
+            # The same objects at every residue, so NaN entries compare too.
+            assert all(a is b for a, b in zip(p.values, want.values, strict=True)), r
+            assert even_witness(p) == oracle_even_witness(p), r
+            # Two residues perturbed, by a step above or below the tolerance:
+            # the first witness is whichever class breaks first.
+            for step in (1, 1e-13):
+                values = list(p.values)
+                for n in rng.sample(range(r), min(r, 2)):
+                    values[n] += step
+                q = ResidueFunction(r, values)
+                for tol in (periodic_mod.EVENNESS_TOL, 0, 0.5):
+                    assert even_witness(q, tol) == oracle_even_witness(q, tol), (r, step, tol)
+
+    def test_no_gcd_call_at_720720(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("math.gcd called on the gcd-class path")
+
+        for module in (even_mod, periodic_mod):
+            monkeypatch.setattr(module, "gcd", forbidden, raising=False)
+        r = 720720
+        rng = random.Random(720720)
+        ints = EvenFunction(r, {d: rng.randint(-9, 9) for d in divisors(r)})
+        floats = EvenFunction(r, {d: float(v) for d, v in ints.values.items()})
+        for e in (ints, floats):
+            p = to_periodic(e)
+            assert p.values[16] == e.values[1] and p.values[-1] == e.values[r]
+            assert even_witness(p) is None and is_even(p)
+            for n in (17, r - 1):
+                values = list(p.values)
+                values[n - 1] += 1
+                assert even_witness(ResidueFunction(r, values)) == n
 
 
 class TestRft:
@@ -572,6 +657,14 @@ class TestVerifyBridge:
         assert report.passed
         bridge = {c.subject[1]: c for c in report.checks if c.subject[0] == "bridge"}
         assert bridge[6].left == 6
+
+    def test_a_bad_tolerance_is_refused(self):
+        # inf passed this input, whose DFT rounds 1e300 to a wrong value.
+        f = EvenFunction(4, {1: 1.0, 2: 2.0, 4: 1e300})
+        for tol in (float("nan"), -1.0, float("inf")):
+            with pytest.raises(DomainError, match="^tol must be finite and >= 0"):
+                verify_rft_dft_bridge(f, tol=tol)
+        assert verify_rft_dft_bridge(EvenFunction(1, {1: 1}), tol=0).passed
 
     def test_random_sweep(self):
         rng = random.Random(17)

@@ -302,6 +302,17 @@ class TestFormatClosure:
         assert format_function(obj) == "3 periodic\n2\n1/2\n3\n"
         assert parse_function_json(format_function(obj, "json")) == obj
 
+    def test_bools_write_as_the_ints_they_equal(self):
+        # The readers refuse "True" and JSON's true, so neither is written.
+        assert format_scalar(True) == "1" and format_scalar(False) == "0"
+        assert format_function(EvenFunction(1, {1: True})) == "1 even\n1 1\n"
+        for obj in (EvenFunction(2, {1: True, 2: False}), ResidueFunction(3, (False, True, 2))):
+            text, payload = format_function(obj), format_function(obj, "json")
+            assert parse_function_text(text) == obj
+            assert parse_function_json(payload) == obj
+            assert all(type(v) is int for v in json.loads(payload)["values"] if type(v) is not dict)
+            assert "true" not in payload and "false" not in payload
+
     def test_spectra_serialize_under_matching_representation(self):
         periodic = format_function(PeriodicSpectrum(2, (1 + 0j, 0j)))
         assert periodic.startswith("2 periodic\n")

@@ -601,6 +601,20 @@ class TestIsEven:
         assert is_even(f)
         assert not is_even(f, tol=1e-16)
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, -1e-300, float("inf"), -float("inf")])
+    def test_a_tolerance_that_is_not_finite_and_nonnegative_is_refused(self, tol):
+        # NaN would call every pair even, inf any pair, and a negative tol none.
+        for f in (ResidueFunction(2, (1.0, 1.0)), ResidueFunction(2, (1, 1))):
+            for route in (even_witness, is_even):
+                with pytest.raises(DomainError, match="^tol must be finite and >= 0, got "):
+                    route(f, tol)
+
+    def test_a_zero_tolerance_compares_exactly(self):
+        assert is_even(ResidueFunction(2, (1.0, 1.0)), tol=0)
+        assert is_even(ResidueFunction(2, (1.0, 1.0)), tol=-0.0)
+        assert even_witness(ResidueFunction(3, (1.0, 1.0, 3.0)), 0) is None
+        assert even_witness(ResidueFunction(3, (1.0, 1.0 + 2**-52, 3.0)), 0) == 2
+
     def test_even_implies_periodic(self):
         f = ResidueFunction.from_callable(8, lambda n: gcd(n, 8) ** 2)
         assert is_even(f)

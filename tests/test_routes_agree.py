@@ -4,6 +4,9 @@ Moduli r <= 120 are drawn by kind: 1, primes, prime powers, squarefree,
 rough (a prime factor above 13) and highly composite. Values are ints,
 Fractions, floats or complex numbers up to 1e6 in magnitude.
 
+Every kind expands to an even function that restricts back to itself:
+`from_periodic(to_periodic(f)) == f`.
+
 Exact input agrees exactly, in value and in type: `rft` with `rft_naive`,
 `irft(rft(f))` with f, and the even Cauchy and inner products with the
 direct sums on the expansions. The even routes give a plain int wherever
@@ -32,9 +35,11 @@ from ramfourier import (
     cauchy_product_spectral,
     divisors,
     factorize,
+    from_periodic,
     inner_product_even,
     inner_product_periodic,
     irft,
+    is_even,
     is_prime,
     mobius,
     rft,
@@ -152,6 +157,16 @@ def test_floating_routes_agree_within_their_bounds(kind, r, data):
     got = cauchy_product_spectral(pf, pg).values
     bound = _spectral_bound(r) * _norm(pf.values) * _norm(pg.values)
     assert _norm([a - b for a, b in zip(got, want)]) <= bound
+
+
+@pytest.mark.parametrize("kind", list(VALUES))
+@settings(deadline=None, max_examples=30)
+@given(r=moduli, data=st.data())
+def test_expansion_is_even_and_restricts_back(kind, r, data):
+    f = _draw_even(data, r, kind)
+    p = to_periodic(f)
+    assert is_even(p)
+    assert from_periodic(p) == f
 
 
 def _outcome(route, *args):
